@@ -15,15 +15,19 @@ import dataclasses
 
 import pytest
 
-from repro.core import mercury_stack
+from repro.core import iridium_stack, mercury_stack
 from repro.errors import ConfigurationError
 from repro.exp.scenarios import get_scenario
+from repro.faults import ResiliencePolicy
 from repro.faults.schedule import (
     FaultEvent,
     FaultSchedule,
     crash_restart,
     lossy_link,
 )
+from repro.flashstore.compaction import TieredStoreConfig
+from repro.kvstore.batching import BatchPolicy
+from repro.replication.config import ReplicationConfig
 from repro.sim.fidelity import (
     FidelityPolicy,
     allocate_proportional,
@@ -356,7 +360,66 @@ class TestHybridEquivalence:
         assert fluid.fidelity["sim_fidelity_fluid_windows_total"] >= 1
 
 
+#: Structural fallback case -> (expected reason, stack family, the
+#: RunOptions fields that turn the features on).
+STRUCTURAL_CASES = {
+    "replication": (
+        "replication", "mercury",
+        {"replication": ReplicationConfig(n=2, r=1, w=1)},
+    ),
+    "batching": (
+        "batching", "mercury",
+        {"batching": BatchPolicy(batch_max=8, linger_s=100e-6)},
+    ),
+    "flashstore": (
+        "flashstore", "iridium",
+        {"flashstore": TieredStoreConfig(log_segment_pages=8)},
+    ),
+    "hedging": (
+        "hedging", "mercury",
+        {"resilience": ResiliencePolicy(hedge_after_s=200e-6)},
+    ),
+    "tracing": ("tracing", "mercury", {"trace_digest": True}),
+    "keep_samples": ("keep_samples", "mercury", {"keep_samples": True}),
+    # Two features at once: the earlier entry of the precedence order
+    # is the one recorded.
+    "hedging+keep_samples": (
+        "hedging", "mercury",
+        {
+            "resilience": ResiliencePolicy(hedge_after_s=200e-6),
+            "keep_samples": True,
+        },
+    ),
+}
+
+
 class TestFallbacks:
+    @pytest.mark.parametrize("case", sorted(STRUCTURAL_CASES))
+    def test_structural_feature_runs_pure_des(self, case):
+        reason, family, features = STRUCTURAL_CASES[case]
+        build = mercury_stack if family == "mercury" else iridium_stack
+        rate_hz = 12_000.0 if family == "mercury" else 4_000.0
+
+        def run(fidelity):
+            options = RunOptions(
+                offered_rate_hz=rate_hz,
+                duration_s=0.2,
+                warmup_requests=4_000,
+                fidelity=fidelity,
+                **features,
+            )
+            stack = FullSystemStack(
+                stack=build(CORES), memory_per_core_bytes=8 * MB, seed=1
+            )
+            return stack.run(WORKLOAD, options)
+
+        des = run(None).to_dict()
+        hybrid = run(FidelityPolicy(calibration_s=0.05)).to_dict()
+        fidelity = hybrid.pop("fidelity")
+        assert fidelity["sim_fidelity_fallback_reason"] == reason
+        assert fidelity["sim_fidelity_fluid_windows_total"] == 0
+        assert hybrid == des
+
     def test_structural_batching_falls_back_to_pure_des(self):
         scenario = get_scenario("batched")
         base = scenario.run_options(RATE_HZ, DURATION_S, warmup_requests=8_000)
