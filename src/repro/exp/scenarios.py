@@ -22,16 +22,13 @@ applies on top of the base options via
 :meth:`~repro.sim.run_options.RunOptions.from_dict`.  Every override
 therefore lands on the serialised options — and the experiment cache
 keys on the serialised options — so a scenario cannot grow a knob that
-the cache silently ignores.  Unknown keys are rejected eagerly at
-construction time.  The pre-overrides per-feature fields (``batch_max``,
-``flashstore``, ``energy``, ``diurnal_day_s``, ...) survive as
-deprecated constructor shims and read-only views.
+the cache silently ignores.  Unknown keys and refused feature pairs are
+rejected eagerly at construction time.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
@@ -71,12 +68,6 @@ class Scenario:
     construction) and every override is covered by experiment cache
     keys by construction.  The design point (``offered_rate_hz``,
     ``duration_s``) is refused — that stays a per-command knob.
-
-    The old per-feature constructor arguments (``batch_max``,
-    ``batch_linger_s``, ``flashstore``, ``flashstore_segment_pages``,
-    ``energy``, ``diurnal_day_s``, ``diurnal_trough``) still work as
-    deprecated shims that fold into ``overrides`` (with a
-    ``DeprecationWarning``), and remain readable as derived attributes.
     """
 
     name: str
@@ -87,42 +78,14 @@ class Scenario:
     get_fraction: float = 0.9
     key_population: int = 20_000
     overrides: Mapping[str, Any] | None = None
-    # Deprecated feature knobs: init-only shims folded into ``overrides``
-    # by ``__post_init__`` (still readable via the properties installed
-    # below the class).
-    batch_max: InitVar[int | None] = None
-    batch_linger_s: InitVar[float | None] = None
-    flashstore: InitVar[bool | None] = None
-    flashstore_segment_pages: InitVar[int | None] = None
-    energy: InitVar[bool | None] = None
-    diurnal_day_s: InitVar[float | None] = None
-    diurnal_trough: InitVar[float | None] = None
 
-    def __post_init__(
-        self,
-        batch_max: int | None,
-        batch_linger_s: float | None,
-        flashstore: bool | None,
-        flashstore_segment_pages: int | None,
-        energy: bool | None,
-        diurnal_day_s: float | None,
-        diurnal_trough: float | None,
-    ) -> None:
+    def __post_init__(self) -> None:
         if self.faults is not None and self.faults not in PRESETS:
             raise ConfigurationError(
                 f"scenario {self.name!r} names unknown fault preset "
                 f"{self.faults!r} (want one of {sorted(PRESETS)})"
             )
-        merged = self._fold_legacy_knobs(
-            dict(self.overrides or {}),
-            batch_max=batch_max,
-            batch_linger_s=batch_linger_s,
-            flashstore=flashstore,
-            flashstore_segment_pages=flashstore_segment_pages,
-            energy=energy,
-            diurnal_day_s=diurnal_day_s,
-            diurnal_trough=diurnal_trough,
-        )
+        merged = dict(self.overrides or {})
         baked = [key for key in _DESIGN_POINT_KEYS if key in merged]
         if baked:
             raise ConfigurationError(
@@ -131,83 +94,13 @@ class Scenario:
             )
         object.__setattr__(self, "overrides", merged)
         # Validate the whole mapping eagerly through the same parser that
-        # will apply it: unknown keys and malformed sub-configs fail at
-        # construction, not first use.  Keep the parsed probe for the
-        # derived accessors.
+        # will apply it: unknown keys, malformed sub-configs and refused
+        # feature pairs fail at construction, not first use.  Keep the
+        # parsed probe for the derived accessors.
         parsed = RunOptions.from_dict(
             {"offered_rate_hz": 1.0, "duration_s": 1.0, **merged}
         )
-        if parsed.flashstore is not None and parsed.batching is not None:
-            raise ConfigurationError(
-                f"scenario {self.name!r} cannot combine the tiered flash "
-                "store with batching"
-            )
         object.__setattr__(self, "_parsed", parsed)
-
-    def _fold_legacy_knobs(
-        self,
-        merged: dict[str, Any],
-        *,
-        batch_max: int | None,
-        batch_linger_s: float | None,
-        flashstore: bool | None,
-        flashstore_segment_pages: int | None,
-        energy: bool | None,
-        diurnal_day_s: float | None,
-        diurnal_trough: float | None,
-    ) -> dict[str, Any]:
-        """Translate deprecated per-feature kwargs into overrides."""
-        legacy = {
-            "batch_max": batch_max,
-            "batch_linger_s": batch_linger_s,
-            "flashstore": flashstore,
-            "flashstore_segment_pages": flashstore_segment_pages,
-            "energy": energy,
-            "diurnal_day_s": diurnal_day_s,
-            "diurnal_trough": diurnal_trough,
-        }
-        used = sorted(key for key, value in legacy.items() if value is not None)
-        if not used:
-            return merged
-        warnings.warn(
-            f"Scenario({', '.join(used)}=...) is deprecated; pass "
-            "overrides={...} in the RunOptions.to_dict vocabulary instead",
-            DeprecationWarning,
-            stacklevel=4,
-        )
-        if batch_max is not None or batch_linger_s is not None:
-            # Validate eagerly even when batching stays off, as before.
-            policy = BatchPolicy(
-                batch_max=batch_max if batch_max is not None else 1,
-                linger_s=batch_linger_s if batch_linger_s is not None else 0.0,
-            )
-            if policy.batch_max > 1:
-                merged.setdefault("batching", policy.to_dict())
-        if flashstore_segment_pages is not None or flashstore:
-            pages = (
-                flashstore_segment_pages
-                if flashstore_segment_pages is not None
-                else 256
-            )
-            config = TieredStoreConfig(log_segment_pages=pages)
-            if flashstore:
-                merged.setdefault("flashstore", config.to_dict())
-        if energy:
-            merged.setdefault("energy_summary", True)
-        if diurnal_day_s is not None:
-            if diurnal_day_s < 0:
-                raise ConfigurationError(
-                    f"scenario {self.name!r} needs a non-negative diurnal day"
-                )
-            if diurnal_day_s > 0:
-                schedule = DiurnalSchedule(
-                    day_length_s=diurnal_day_s,
-                    trough_fraction=(
-                        diurnal_trough if diurnal_trough is not None else 0.3
-                    ),
-                )
-                merged.setdefault("diurnal", schedule.to_dict())
-        return merged
 
     # --- derived feature views ---------------------------------------------
 
@@ -282,70 +175,6 @@ class Scenario:
             ),
             label=label or f"{self.name}@{offered_rate_hz:.0f}Hz",
         )
-
-
-def _install_legacy_views() -> None:
-    """Expose the deprecated knobs as read-only derived attributes.
-
-    The names double as ``InitVar`` constructor shims above; the real
-    state lives in ``overrides``, and these views recover the old
-    attribute surface from the parsed probe so existing readers keep
-    working during the migration.
-    """
-
-    def view(name: str, doc: str, fn) -> None:
-        setattr(Scenario, name, property(fn, doc=doc))
-
-    view(
-        "batch_max",
-        "Deprecated view: batching override's batch_max (1 when off).",
-        lambda self: (
-            self._parsed.batching.batch_max if self._parsed.batching else 1
-        ),
-    )
-    view(
-        "batch_linger_s",
-        "Deprecated view: batching override's linger_s (0.0 when off).",
-        lambda self: (
-            self._parsed.batching.linger_s if self._parsed.batching else 0.0
-        ),
-    )
-    view(
-        "flashstore",
-        "Deprecated view: whether a flashstore override is present.",
-        lambda self: self._parsed.flashstore is not None,
-    )
-    view(
-        "flashstore_segment_pages",
-        "Deprecated view: flashstore override's log_segment_pages.",
-        lambda self: (
-            self._parsed.flashstore.log_segment_pages
-            if self._parsed.flashstore
-            else 256
-        ),
-    )
-    view(
-        "energy",
-        "Deprecated view: whether the energy_summary override is set.",
-        lambda self: self._parsed.energy_summary,
-    )
-    view(
-        "diurnal_day_s",
-        "Deprecated view: diurnal override's day_length_s (0.0 when off).",
-        lambda self: (
-            self._parsed.diurnal.day_length_s if self._parsed.diurnal else 0.0
-        ),
-    )
-    view(
-        "diurnal_trough",
-        "Deprecated view: diurnal override's trough_fraction.",
-        lambda self: (
-            self._parsed.diurnal.trough_fraction if self._parsed.diurnal else 0.3
-        ),
-    )
-
-
-_install_legacy_views()
 
 
 def _build_registry() -> dict[str, Scenario]:

@@ -11,51 +11,46 @@ time of its actual verb, actual value size, and actual hit/miss outcome.
 Where the analytic pipeline *assumes* (linear scaling, fixed sizes, 100 %
 hit rate), this measures: per-component time breakdown, hit rates under
 finite per-core memory, queueing at each core, and MAC buffer drops.
+
+Every request walks one :class:`RequestPipeline`: arrive → route → loss
+check → execute and cost → adjust → complete.  Code that only one
+feature needs lives in its own module — quorum replication in
+:mod:`repro.sim.quorum`, the batch former in :mod:`repro.sim.batch_former`,
+the fluid fast-forward fold in :mod:`repro.sim.fluid` — and is wired in
+once at set-up.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 
 from repro.core.latency_model import MemorySpec, RequestTiming
 from repro.core.stack import StackConfig
 from repro.core.thermal import ThermalReport
 from repro.errors import ConfigurationError, SimulationError
 from repro.faults.injector import FaultInjector
-from repro.faults.resilience import ResiliencePolicy
-from repro.faults.schedule import FaultSchedule
 from repro.flashstore.compaction import (
     TieredFlashStore,
     aggregate_tiered_results,
 )
-from repro.kvstore.batching import FLUSH_LINGER, FLUSH_SIZE, MAX_BATCH_OPS
 from repro.kvstore.items import ITEM_OVERHEAD_BYTES
 from repro.kvstore.consistent_hash import ConsistentHashRing
 from repro.kvstore.server_loop import MemcachedServer
 from repro.kvstore.store import KVStore
 from repro.network.packets import request_wire_payloads, wire_bytes_for_payload
 from repro.power.dynamic import DynamicPowerModel
-from repro.replication.antientropy import AntiEntropySweeper
-from repro.replication.config import ReplicationConfig
-from repro.replication.handoff import HintQueue
-from repro.replication.placement import ReplicaPlacement
+from repro.sim.batch_former import BatchFormer
 from repro.sim.events import Simulator
-from repro.sim.fidelity import (
-    allocate_proportional,
-    fault_intervals,
-    plan_segments,
-)
-from repro.sim.resources import FifoResource
+from repro.sim.fluid import FluidFold, fidelity_provenance
+from repro.sim.quorum import QuorumPath
+from repro.sim.resources import FifoResource, ignore_completion
 from repro.sim.rng import make_rng
 from repro.sim.run_options import RunOptions
 from repro.telemetry.critical_path import compute_trace_digest
 from repro.telemetry.energy import EnergyMeter
 from repro.telemetry.metrics import StreamingHistogram
-from repro.telemetry.profiler import SimProfiler
-from repro.telemetry.slo import SloMonitor
 from repro.telemetry.timeseries import TimeSeriesRecorder, WindowedSeries
 from repro.telemetry.tracing import NULL_TELEMETRY, TelemetrySession
 
@@ -73,10 +68,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _BASE_TCP_PORT = 11211
 
-#: Completed DES requests a fluid fast-forward window needs before its
-#: calibration surrogate (latency distribution, per-core load split) is
-#: trusted; thinner calibration keeps the window at full DES.
-_MIN_CALIBRATION_SAMPLES = 32
+#: Background core work, by ``background_busy_seconds`` task label.
+_BACKGROUND_TASKS = ("hint_replay", "antientropy", "read_repair", "verify_read")
 
 
 @dataclass
@@ -403,35 +396,6 @@ class FullSystemResults:
         return payload
 
 
-class _ReplicaFabric:
-    """A coordinator-shaped view of the stack's per-core stores.
-
-    :class:`~repro.replication.antientropy.AntiEntropySweeper` is
-    duck-typed against the client-side coordinator; this adapter gives
-    it the same surface (``stores``, ``live_nodes``, ``node_is_down``,
-    ``placement``) over the DES's cores, keyed by TCP port.  ``down``
-    is shared with the run loop, so the sweeper always sees the current
-    crash state.
-    """
-
-    def __init__(
-        self,
-        stores: dict[str, KVStore],
-        placement: ReplicaPlacement,
-        down: set[str],
-    ):
-        self.stores = stores
-        self.placement = placement
-        self._down = down
-
-    @property
-    def live_nodes(self) -> list[str]:
-        return sorted(port for port in self.stores if port not in self._down)
-
-    def node_is_down(self, port: str) -> bool:
-        return port in self._down
-
-
 class FullSystemStack:
     """One simulated 3D stack running real Memcached instances."""
 
@@ -493,2154 +457,36 @@ class FullSystemStack:
             raise ConfigurationError(f"no core for fault target {node!r}")
         return index
 
-    def run(
-        self,
-        workload: "WorkloadSpec",
-        options: RunOptions | float | None = None,
-        duration_s: float | None = None,
-        **legacy,
-    ) -> FullSystemResults:
+    def run(self, workload: "WorkloadSpec", options: RunOptions) -> FullSystemResults:
         """Drive the stack with ``workload`` under ``options``.
 
-        The primary signature is ``run(workload, RunOptions(...))`` —
-        one frozen, serialisable value object carrying the rate,
-        duration, fault/replication configuration, and any attached
-        instruments (see :class:`~repro.sim.run_options.RunOptions`).
-
-        The pre-``RunOptions`` keyword form
-        (``run(workload, offered_rate_hz=..., duration_s=..., ...)``)
-        still works but emits a :class:`DeprecationWarning`; it is a
-        thin shim that packs the keywords into a ``RunOptions``.
-
-        ``warmup_requests`` PUTs pre-populate the stores (zero simulated
-        time) so GET hit rates reflect a warm cache.  ``telemetry``
-        (default: the shared no-op session) receives per-request span
-        traces and registry metrics; it observes the simulation without
-        perturbing it, so results are identical with it on or off.
-        ``keep_samples`` retains raw RTT/wait sample lists alongside the
-        streaming histograms.
-
-        ``faults`` replays a :class:`FaultSchedule` during the run: a
-        crashed core loses its data (§2.3) and times out requests until
-        its restart; packet loss/corruption windows eat attempts; memory
-        degradation windows stretch service times.  ``resilience`` is
-        the client's answer — timeouts, retries with backoff + jitter,
-        hedged GETs, and failover rebalancing of the client-side ring;
-        without it a faulted request simply fails.  Both are driven by
-        dedicated RNG streams, so a fault-free run is request-for-request
-        identical to one without these arguments, and the same
-        (schedule, seed) pair reproduces outcomes bit-for-bit.
-        ``window_s`` buckets GET outcomes into an arrival-time hit-rate
-        timeline for recovery analysis.  ``fill_on_miss`` models the
-        cache-aside pattern: a GET miss is followed by an out-of-band
-        store of the value (the application re-fetching from its
-        database), which is what actually refills a restarted node.
-
-        ``replication`` (with ``n > 1``) runs the stack as a quorum
-        replica group: each PUT fans to the key's N preferred cores
-        (each copy charged full service time — the ≈N× write
-        amplification shows up in core load and TPS), completing at the
-        W-th ack; GETs target the preferred list with retries and
-        hedges walking to the *next replica*, plus ``r - 1`` background
-        verify-reads charging the read-quorum cost; copies for a
-        crashed core are parked as hints and replayed at its restart;
-        and an anti-entropy sweep reconverges replicas on a DES timer.
-        ``n=1`` (or ``None``) is the original sharded behaviour,
-        request-for-request identical.
-
-        ``batching`` (a :class:`~repro.kvstore.batching.BatchPolicy`
-        with ``batch_max > 1``) coalesces arrivals per destination
-        core: each op joins its core's open batch, which flushes when
-        it reaches ``batch_max`` ops ("size") or when the oldest rider
-        has lingered ``linger_s`` ("linger").  A flushed batch charges
-        the latency model's *batched* cost — one TCP/wire traversal for
-        the coalesced frame plus per-op hash/memcached work — and
-        occupies the core as a single job, so riders share the queue
-        wait.  Functional outcomes are identical to the serial path
-        (each op still executes in arrival order against the real
-        store); faults eat whole batches, after which every rider
-        retries serially.  Hedging does not apply to batched ops, and
-        batching cannot be combined with replication ``n > 1``.
-
-        ``flashstore`` (a :class:`~repro.flashstore.TieredStoreConfig`,
-        flash stacks only) mirrors every op against a per-core
-        SILT-style tiered store and swaps the latency model's
-        calibrated flash stalls for the tiers' *measured* flash work:
-        PUTs charge an amortised share of one sequential page program,
-        GETs charge their actual candidate-page reads, and log→hash
-        conversion / hash→sorted compaction land as background busy
-        time (``background_busy_seconds{task=conversion|compaction}``)
-        on the triggering core.  Functional outcomes are identical to
-        the plain path; amplification and index-memory accounting
-        appear in ``results.flashstore`` and ``flashstore_*`` metrics.
-        Incompatible with replication ``n > 1`` and batching.
-
-        The observatory hooks ride on the same simulated clock:
-        ``timeseries`` (a :class:`TimeSeriesRecorder`, typically over
-        ``telemetry.registry``) is installed as a recurring DES event
-        and snapshots windowed metric deltas — it ends up in
-        ``results.timeseries``; ``slo`` (an :class:`SloMonitor`) is fed
-        every request outcome at its completion time and evaluated on
-        its own cadence, with the alert lifecycle in
-        ``results.slo_alerts``; ``profiler`` attaches to the simulator
-        and attributes wall-clock to event types.  All three observe
-        without perturbing the simulation.
+        ``options`` (a :class:`~repro.sim.run_options.RunOptions`, which
+        documents every field) carries the load, the fault, replication,
+        batching, flash-store and fidelity configuration, and any
+        attached instruments.  Warm-up PUTs fill the stores outside
+        simulated time; then every request walks the
+        :class:`RequestPipeline` on the simulated clock, and the fluid
+        fold fast-forwards quiescent stretches when ``options.fidelity``
+        allows.  Instruments observe without perturbing: a run is
+        bit-identical with them on or off.
         """
-        if isinstance(options, RunOptions):
-            if duration_s is not None or legacy:
-                raise ConfigurationError(
-                    "pass either a RunOptions value or legacy keyword "
-                    "arguments, not both"
-                )
-            return self._run(workload, options)
-        legacy_kwargs = dict(legacy)
-        if options is not None:
-            legacy_kwargs["offered_rate_hz"] = options
-        if duration_s is not None:
-            legacy_kwargs["duration_s"] = duration_s
-        warnings.warn(
-            "FullSystemStack.run(offered_rate_hz=..., duration_s=..., ...) "
-            "is deprecated; pass run(workload, RunOptions(...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        try:
-            resolved = RunOptions(**legacy_kwargs)
-        except TypeError:
-            unknown = sorted(
-                set(legacy_kwargs) - {f.name for f in fields(RunOptions)}
-            )
+        # The refusals that depend on the stack, before anything is
+        # built or any instrument is touched.
+        if options.flashstore is not None and not self.model.memory.is_flash:
             raise ConfigurationError(
-                f"unsupported run() arguments {unknown}"
-            ) from None
-        return self._run(workload, resolved)
-
-    def _run(
-        self, workload: "WorkloadSpec", options: RunOptions
-    ) -> FullSystemResults:
-        from repro.workloads.generator import WorkloadGenerator
-
-        offered_rate_hz = options.offered_rate_hz
-        duration_s = options.duration_s
-        warmup_requests = options.warmup_requests
-        keep_samples = options.keep_samples
-        window_s = options.window_s
-        fill_on_miss = options.fill_on_miss
-        faults = options.faults
-        resilience = options.resilience
-        replication = options.replication
-        telemetry = options.telemetry
-        timeseries = options.timeseries
-        slo = options.slo
-        profiler = options.profiler
-        if telemetry is None:
-            telemetry = NULL_TELEMETRY
-        if options.trace_digest and not telemetry.tracer.enabled:
-            # A digest was requested but no live session attached (the
-            # experiment engine's cached cells run instrument-free):
-            # trace internally with the paper SLA as the tail-sampling
-            # deadline, seeded off the stack seed for reproducibility.
-            telemetry = TelemetrySession(
-                slo_deadline_s=_DIGEST_SLA_DEADLINE_S, sampling_seed=self.seed
+                "the tiered flash store needs a flash (Iridium) "
+                "stack; Mercury keeps its DRAM path"
             )
-        registry, tracer = telemetry.registry, telemetry.tracer
-        stack_label = self.stack.name
-        sim = Simulator()
-        if profiler is not None:
-            profiler.attach(sim)
-        if timeseries is not None:
-            timeseries.install(sim, horizon_s=duration_s)
-        if slo is not None:
-            slo.install(sim, horizon_s=duration_s)
-            if tracer.enabled:
-                # Link alerts to representative traces: at fire time the
-                # alert samples the RTT histogram's exemplars from every
-                # bucket reaching past the tightest latency objective.
-                deadlines = [
-                    objective.deadline_s
-                    for objective in slo.objectives.values()
-                    if objective.deadline_s is not None
-                ]
-                if deadlines:
-                    rtt_histogram = registry.histogram("request_rtt_seconds")
-                    exemplar_floor = min(deadlines)
-                    slo.attach_exemplars(
-                        lambda: rtt_histogram.exemplars_above(exemplar_floor)
-                    )
-        slo_record = slo.record if slo is not None else None
-        energy_meter = options.energy
-        if energy_meter is None and options.energy_summary:
-            # A summary was requested but no live meter attached (the
-            # experiment engine's cached cells run instrument-free):
-            # meter internally against this stack's derived power model,
-            # sized to the run's window_s (default: twenty windows).
-            energy_meter = EnergyMeter(
-                DynamicPowerModel.for_stack(self.stack),
-                window_s=(
-                    window_s if window_s is not None else duration_s / 20.0
-                ),
-                registry=registry,
-            )
-        if energy_meter is not None:
-            energy_meter.install(sim, horizon_s=duration_s)
-
-        # Per-op activity charges for the energy meter.  The rule is
-        # "energy follows time": bytes/pages are charged wherever the
-        # latency model charges service time, with the same item framing
-        # (calibrated key length + overhead) the timing math uses.  Core
-        # busy energy needs no per-site hook — the FifoResource
-        # busy_observer charges it over exactly the busy intervals.
-        if energy_meter is not None:
-            _energy_key_bytes = self.model.cal.default_key_bytes
-            _energy_item_overhead = ITEM_OVERHEAD_BYTES + _energy_key_bytes
-            _energy_flash = self.stack.flash
-
-            def charge_op_energy(
-                t: float,
-                verb: str,
-                served_bytes: int,
-                tiered_cost=None,
-                wire: bool = True,
-            ) -> None:
-                item_bytes = _energy_item_overhead + served_bytes
-                # memory_bandwidth() moves 2x the item per op (read +
-                # response copy, or lookup + store).
-                energy_meter.charge_memory_bytes(t, 2.0 * item_bytes)
-                if wire:
-                    rw = request_wire_payloads(
-                        verb, served_bytes, key_bytes=_energy_key_bytes
-                    )
-                    energy_meter.charge_nic_bytes(
-                        t,
-                        wire_bytes_for_payload(rw.request_payload)
-                        + wire_bytes_for_payload(rw.response_payload),
-                    )
-                if _energy_flash is not None:
-                    if tiered_cost is not None:
-                        # Tiered store: reads cost what the tier probe
-                        # actually touched; log-structured writes
-                        # amortise to the item's share of a page, and
-                        # erases to that share of a block.
-                        if verb == "GET":
-                            energy_meter.charge_flash_reads(
-                                t, float(tiered_cost.pages_read)
-                            )
-                        else:
-                            pages = item_bytes / _energy_flash.page_bytes
-                            energy_meter.charge_flash_programs(t, pages)
-                            energy_meter.charge_flash_erases(
-                                t, pages / _energy_flash.pages_per_block
-                            )
-                    else:
-                        # Baseline FTL-calibrated path: whole pages, as
-                        # the latency model stalls for them.
-                        pages = float(_energy_flash.pages_for(item_bytes))
-                        if verb == "GET":
-                            energy_meter.charge_flash_reads(t, pages)
-                        else:
-                            energy_meter.charge_flash_programs(t, pages)
-                            energy_meter.charge_flash_erases(
-                                t, pages / _energy_flash.pages_per_block
-                            )
-
-        else:
-            charge_op_energy = None
-        rng = make_rng("full-system", self.seed)
-        generator = WorkloadGenerator(workload, seed=self.seed)
-        cores = [
-            FifoResource(
-                sim,
-                name=f"core{i}",
-                registry=registry,
-                busy_observer=(
-                    energy_meter.charge_core_busy
-                    if energy_meter is not None
-                    else None
-                ),
-            )
-            for i in range(self.stack.cores)
-        ]
-        for server, core in zip(self.servers, cores):
-            server.attach_queue(core)
-        results = FullSystemResults(
-            duration_s=duration_s,
-            offered_rate_hz=offered_rate_hz,
-            keep_samples=keep_samples,
-            window_s=window_s,
-        )
-        completed_total = registry.counter("requests_completed_total")
-        drops_total = registry.counter("mac_drops_total")
-        hits_total = registry.counter("get_hits_total")
-        misses_total = registry.counter("get_misses_total")
-        puts_total = registry.counter("puts_total")
-        response_bytes_total = registry.counter("response_bytes_total")
-        served_per_core = [
-            registry.counter("requests_served_total", {"core": str(i)})
-            for i in range(self.stack.cores)
-        ]
-        failed_total = registry.counter("requests_failed_total")
-        retries_total = registry.counter("client_retries_total")
-        timeouts_total = registry.counter("client_timeouts_total")
-        failovers_total = registry.counter("client_failovers_total")
-        hedges_total = registry.counter("client_hedged_requests_total")
-
-        policy = resilience
-        retry_rng = make_rng("resilience", self.seed)
-        memory_kind = "flash" if self.model.memory.is_flash else "dram"
-        # The client's live view of the cluster: failover removes nodes
-        # here and health checks re-add them; ``self.ring`` (the MAC's
-        # port map) is never mutated.
-        client_ring = ConsistentHashRing(
-            (str(_BASE_TCP_PORT + i) for i in range(self.stack.cores)), vnodes=128
-        )
-        down_cores: set[int] = set()
-        failed_over: set[str] = set()
-        consecutive_timeouts: dict[str, int] = {}
-
-        repl = replication
+        repl = options.replication
         if repl is not None and repl.n > self.stack.cores:
             raise ConfigurationError(
                 f"replication factor {repl.n} exceeds the "
                 f"{self.stack.cores}-core stack"
             )
-        replicated = repl is not None and repl.n > 1
-        batching = options.batching
-        batch_enabled = batching is not None and batching.enabled
-        if batch_enabled and replicated:
-            raise ConfigurationError(
-                "batched dispatch and replication (n > 1) cannot be "
-                "combined in the full-system run; batch against a "
-                "sharded stack"
-            )
-        flashstore_config = options.flashstore
-        tiered_stores: list[TieredFlashStore] | None = None
-        if flashstore_config is not None:
-            if not self.model.memory.is_flash:
-                raise ConfigurationError(
-                    "the tiered flash store needs a flash (Iridium) "
-                    "stack; Mercury keeps its DRAM path"
-                )
-            if replicated:
-                raise ConfigurationError(
-                    "the tiered flash store and replication (n > 1) "
-                    "cannot be combined yet; run sharded"
-                )
-            if batch_enabled:
-                raise ConfigurationError(
-                    "the tiered flash store and batched dispatch cannot "
-                    "be combined yet; run the serial path"
-                )
-            assert self.stack.flash is not None
-            # One tiered store per core, each seeded off (stack seed,
-            # core index) so runs are reproducible and cores differ.
-            tiered_stores = [
-                TieredFlashStore(
-                    self.stack.flash,
-                    flashstore_config,
-                    seed=self.seed,
-                    label=f"core{i}",
-                    registry=registry,
-                )
-                for i in range(self.stack.cores)
-            ]
-            conversion_busy = registry.histogram(
-                "background_busy_seconds", {"task": "conversion"}
-            )
-            compaction_busy = registry.histogram(
-                "background_busy_seconds", {"task": "compaction"}
-            )
-            # Fixed item framing shared with the latency model: the
-            # calibrated default key length, not each request's actual
-            # key bytes, so tiered and baseline runs charge the same
-            # item footprint.
-            item_overhead = (
-                ITEM_OVERHEAD_BYTES + self.model.cal.default_key_bytes
-            )
-
-            def charge_background(core_index: int, works, trace=None) -> None:
-                """Charge conversion/compaction flash time to the core
-                that triggered it (the tier moves already happened
-                functionally inside the store)."""
-                for work in works:
-                    busy = (
-                        conversion_busy
-                        if work.kind == "conversion"
-                        else compaction_busy
-                    )
-                    busy.record(work.service_s)
-                    if tracer.enabled:
-                        tracer.follow_from(
-                            work.kind,
-                            sim.now,
-                            work.service_s,
-                            node=f"core{core_index}",
-                            stack=stack_label,
-                            trace=trace,
-                        )
-                    if energy_meter is not None:
-                        # Tier moves hit the NAND array: every page the
-                        # move read and rewrote, plus the rewritten
-                        # pages' amortised share of block erases.
-                        energy_meter.charge_flash_reads(
-                            sim.now, float(work.pages_read)
-                        )
-                        energy_meter.charge_flash_programs(
-                            sim.now, float(work.pages_written)
-                        )
-                        energy_meter.charge_flash_erases(
-                            sim.now,
-                            work.pages_written
-                            / self.stack.flash.pages_per_block,
-                        )
-                    cores[core_index].submit(work.service_s, lambda wait: None)
-        if batch_enabled:
-            # One pending-op list per core: the client-side buffer in
-            # front of each node's coalesced frame.  ``open_id`` detects
-            # stale linger timers — a size flush reopens the buffer and
-            # the old timer must not flush the successor batch early.
-            batch_pending: list[list] = [[] for _ in range(self.stack.cores)]
-            batch_open_id = [0] * self.stack.cores
-            batch_flush_total = {
-                reason: registry.counter("batch_flushes_total", {"reason": reason})
-                for reason in (FLUSH_SIZE, FLUSH_LINGER)
-            }
-            batch_ops_counter = registry.counter("batch_ops_total")
-            batch_size_histogram = registry.histogram(
-                "batch_size", min_value=1.0, max_value=float(MAX_BATCH_OPS)
-            )
-        # Background busy-time histograms: simulated core seconds charged
-        # to replication housekeeping, windowed into the time-series
-        # recorder like any other metric so a run's timeline shows the
-        # fault -> hint replay -> anti-entropy -> recovery sequence.
-        hint_replay_busy = registry.histogram(
-            "background_busy_seconds", {"task": "hint_replay"}
-        )
-        antientropy_busy = registry.histogram(
-            "background_busy_seconds", {"task": "antientropy"}
-        )
-        read_repair_busy = registry.histogram(
-            "background_busy_seconds", {"task": "read_repair"}
-        )
-        verify_read_busy = registry.histogram(
-            "background_busy_seconds", {"task": "verify_read"}
-        )
-        replica_put_wait = registry.histogram("replica_put_wait_seconds")
-        down_ports: set[str] = set()
-        placement: ReplicaPlacement | None = None
-        hintq: HintQueue | None = None
-        put_seq = [0]  # the DES's version epoch (hint resolution order)
-        if replicated:
-            # Each core is its own failure domain here — the whole run
-            # is one physical stack — so placement skips by node; the
-            # rack/stack-aware rule matters in the multi-stack client.
-            placement = ReplicaPlacement(
-                self.ring, repl.n, stack_of=lambda port: port
-            )
-            hintq = HintQueue(registry=registry)
-            replica_writes_total = registry.counter(
-                "replication_replica_writes_total"
-            )
-            redirected_total = registry.counter(
-                "replication_redirected_reads_total"
-            )
-            verify_total = registry.counter("replication_verify_reads_total")
-            read_repairs_total = registry.counter(
-                "replication_read_repairs_total"
-            )
-
-        injector: FaultInjector | None = None
-        if faults is not None:
-            injector = FaultInjector(faults, seed=self.seed, registry=registry)
-
-            def crash_core(node: str) -> None:
-                # §2.3: a downed node loses its share of the cache.
-                index = self._core_index(node)
-                down_cores.add(index)
-                down_ports.add(str(_BASE_TCP_PORT + index))
-                self.servers[index].store.flush_all()
-                if tiered_stores is not None:
-                    # The crash also loses the tiers' in-memory indexes,
-                    # so the tiered store restarts empty with its peer.
-                    tiered_stores[index].flush()
-
-            def restart_core(node: str) -> None:
-                index = self._core_index(node)
-                down_cores.discard(index)
-                down_ports.discard(str(_BASE_TCP_PORT + index))
-                if replicated and repl.hinted_handoff:
-                    hints = hintq.drain(str(_BASE_TCP_PORT + index))
-                    if hints:
-                        replay_service = 0.0
-                        for hint in hints:
-                            self._execute(hint.key, "PUT", hint.payload, index)
-                            service = self.model.request_timing(
-                                "PUT", hint.payload
-                            ).total_s
-                            if charge_op_energy is not None:
-                                # Replays are stack-internal: memory and
-                                # flash activity but no client wire.
-                                charge_op_energy(
-                                    sim.now, "PUT", hint.payload, wire=False
-                                )
-                            if tracer.enabled:
-                                # Replay work follows from the PUT that
-                                # parked the hint; laid out back-to-back
-                                # as the burst occupies the core.
-                                tracer.follow_from(
-                                    "handoff_replay",
-                                    sim.now + replay_service,
-                                    service,
-                                    node=f"core{index}",
-                                    stack=stack_label,
-                                    trace=hint.trace_id,
-                                )
-                            replay_service += service
-                        results.hints_replayed += len(hints)
-                        hint_replay_busy.record(replay_service)
-                        # Replay occupies the restarted core like one
-                        # back-to-back burst of PUTs.
-                        cores[index].submit(replay_service, lambda wait: None)
-
-            injector.install(
-                sim, horizon_s=duration_s,
-                on_crash=crash_core, on_restart=restart_core,
-            )
-
-        if replicated and repl.anti_entropy_interval_s is not None:
-            fabric = _ReplicaFabric(
-                {
-                    str(_BASE_TCP_PORT + i): server.store
-                    for i, server in enumerate(self.servers)
-                },
-                placement,
-                down_ports,
-            )
-            sweeper = AntiEntropySweeper(
-                fabric,
-                buckets=repl.anti_entropy_buckets,
-                max_repairs_per_sweep=repl.max_repairs_per_sweep,
-                registry=registry,
-            )
-            ae_interval = repl.anti_entropy_interval_s
-
-            def antientropy_fire(t: float) -> None:
-                report = sweeper.sweep()
-                results.antientropy_sweeps += 1
-                results.antientropy_repairs += report.repairs
-                for port, count in sorted(report.repairs_by_node.items()):
-                    # Charge each receiving core the service time of its
-                    # repair writes (functional copies already landed).
-                    mean_bytes = report.bytes_by_node[port] // count
-                    service = (
-                        self.model.request_timing("PUT", mean_bytes).total_s * count
-                    )
-                    antientropy_busy.record(service)
-                    if charge_op_energy is not None:
-                        # Repair writes are stack-internal (no client
-                        # wire); count is bounded by the sweeper's
-                        # max_repairs_per_sweep.
-                        for _ in range(count):
-                            charge_op_energy(t, "PUT", mean_bytes, wire=False)
-                    if tracer.enabled:
-                        # Sweeps repair keys from many writers: no
-                        # single originating trace to link.
-                        tracer.follow_from(
-                            "antientropy",
-                            t,
-                            service,
-                            node=f"core{int(port) - _BASE_TCP_PORT}",
-                            stack=stack_label,
-                        )
-                    cores[int(port) - _BASE_TCP_PORT].submit(
-                        service, lambda wait: None
-                    )
-
-            sim.recurring(ae_interval, antientropy_fire, duration_s)
-
-        def try_readmit(port: str) -> None:
-            """Health check: re-add a failed-over node once it is up."""
-            if port not in failed_over:
-                return
-            if self._core_index(port) not in down_cores:
-                failed_over.discard(port)
-                client_ring.add_node(port)
-                consecutive_timeouts[port] = 0
-            elif sim.now < duration_s:
-                sim.schedule(
-                    policy.health_check_interval_s, lambda: try_readmit(port)
-                )
-
-        def fail_over(port: str) -> None:
-            if port in failed_over or len(client_ring) <= 1:
-                return
-            failed_over.add(port)
-            client_ring.remove_node(port)
-            results.failovers += 1
-            failovers_total.inc()
-            if sim.now < duration_s:
-                sim.schedule(
-                    policy.health_check_interval_s, lambda: try_readmit(port)
-                )
-
-        def give_up(request, state) -> None:
-            results.failed += 1
-            failed_total.inc()
-            if slo_record is not None:
-                slo_record(sim.now, ok=False)
-            if tracer.enabled:
-                # Error traces are always retained by tail sampling.
-                trace = state["trace"]
-                trace.annotate(
-                    verb=request.verb,
-                    error="gave_up",
-                    attempts=state["attempts"],
-                )
-                trace.finish(sim.now)
-                tracer.commit(trace)
-            if request.verb == "GET":
-                results.note_window_get(state["arrival"], hit=False)
-
-        def timed_out(request, state, attempt: int, port: str) -> None:
-            results.fault_timeouts += 1
-            timeouts_total.inc()
-            consecutive_timeouts[port] = consecutive_timeouts.get(port, 0) + 1
-            if policy is not None and policy.should_fail_over(
-                consecutive_timeouts[port]
-            ):
-                fail_over(port)
-            if policy is not None and attempt + 1 < policy.max_attempts:
-                results.retries += 1
-                retries_total.inc()
-                delay = policy.request_timeout_s + policy.backoff_s(
-                    attempt, retry_rng
-                )
-                sim.schedule(delay, lambda: dispatch(request, state, attempt + 1))
-            else:
-                give_up(request, state)
-
-        def serve(
-            request, state, core_index: int, port: str, via: str | None = None
-        ) -> None:
-            arrival = state["arrival"]
-            dispatched = sim.now
-            hit, response_len = self._execute(
-                request.key, request.verb, request.value_bytes, core_index
-            )
-            tiered = (
-                tiered_stores[core_index] if tiered_stores is not None else None
-            )
-            tiered_cost = None
-            if tiered is not None:
-                # Mirror the op against this core's tiered store: the
-                # functional outcome stays the plain store's (so runs
-                # with the tier on/off match request for request), the
-                # *cost* becomes the tiers' measured flash work.
-                if request.verb == "GET":
-                    tiered_cost = tiered.get(request.key)
-                else:
-                    tiered_cost = tiered.put(
-                        request.key, item_overhead + request.value_bytes
-                    )
-                if tiered_cost.background:
-                    charge_background(
-                        core_index, tiered_cost.background, state["trace"]
-                    )
-            if replicated and request.verb == "GET" and not hit:
-                # Quorum read: the coordinator consults R replicas and
-                # any copy answers — a replica that misses while a live
-                # peer holds the key is read-repaired with that copy.
-                for peer_port in placement.replicas_for(request.key):
-                    peer_core = int(peer_port) - _BASE_TCP_PORT
-                    if peer_core == core_index or peer_core in down_cores:
-                        continue
-                    if self.servers[peer_core].store.peek(request.key) is None:
-                        continue
-                    hit, response_len = self._execute(
-                        request.key, "GET", request.value_bytes, peer_core
-                    )
-                    if hit:
-                        self._execute(
-                            request.key, "PUT", request.value_bytes, core_index
-                        )
-                        results.read_repairs += 1
-                        read_repairs_total.inc()
-                        # The repair write occupies the lagging core.
-                        repair_service = self.model.request_timing(
-                            "PUT", request.value_bytes
-                        ).total_s
-                        read_repair_busy.record(repair_service)
-                        if charge_op_energy is not None:
-                            # Internal repair write: no client wire.
-                            charge_op_energy(
-                                sim.now, "PUT", request.value_bytes, wire=False
-                            )
-                        if tracer.enabled:
-                            tracer.follow_from(
-                                "read_repair",
-                                sim.now,
-                                repair_service,
-                                node=f"core{core_index}",
-                                stack=stack_label,
-                                trace=state["trace"],
-                            )
-                        cores[core_index].submit(repair_service, lambda wait: None)
-                    break
-            if fill_on_miss and request.verb == "GET" and not hit:
-                # Cache-aside refill: the application fetches the value
-                # from its backing store and re-caches it (functional
-                # only; the DB round trip is outside the simulated SLA).
-                if replicated:
-                    for fill_port in placement.replicas_for(request.key):
-                        fill_core = int(fill_port) - _BASE_TCP_PORT
-                        if fill_core not in down_cores:
-                            self._execute(
-                                request.key, "PUT", request.value_bytes, fill_core
-                            )
-                else:
-                    self._execute(request.key, "PUT", request.value_bytes, core_index)
-                    if tiered is not None:
-                        # The refill lands in the tiers too (free, like
-                        # the plain functional PUT), but any conversion
-                        # it tips over is real background flash work.
-                        refill = tiered.put(
-                            request.key, item_overhead + request.value_bytes
-                        )
-                        if refill.background:
-                            charge_background(
-                                core_index, refill.background, state["trace"]
-                            )
-            if replicated and request.verb == "GET":
-                preferred = placement.replicas_for(request.key)
-                if port != preferred[0]:
-                    results.redirected_reads += 1
-                    redirected_total.inc()
-            served_bytes = response_len if request.verb == "GET" else request.value_bytes
-            if tiered_cost is not None:
-                timing = self.model.request_timing_tiered(
-                    request.verb, served_bytes, tiered_cost.service_s
-                )
-            else:
-                timing = self.model.request_timing(request.verb, served_bytes)
-            if injector is not None:
-                factor = injector.service_factor(memory_kind)
-                if factor != 1.0:
-                    timing = RequestTiming(
-                        verb=timing.verb,
-                        value_bytes=timing.value_bytes,
-                        hash_s=timing.hash_s,
-                        memcached_s=timing.memcached_s * factor,
-                        network_s=timing.network_s,
-                    )
-            if energy_meter is not None and energy_meter.derate_factor != 1.0:
-                # Thermal throttle feedback: the derated clock stretches
-                # the on-core stages (hash + memcached); the wire time
-                # is unaffected.
-                derate = energy_meter.derate_factor
-                timing = RequestTiming(
-                    verb=timing.verb,
-                    value_bytes=timing.value_bytes,
-                    hash_s=timing.hash_s / derate,
-                    memcached_s=timing.memcached_s / derate,
-                    network_s=timing.network_s,
-                )
-            if charge_op_energy is not None:
-                charge_op_energy(sim.now, request.verb, served_bytes, tiered_cost)
-            trace = state["trace"]
-            node_label = f"core{core_index}"
-
-            def complete(wait: float) -> None:
-                if state["done"]:
-                    # A hedged twin already answered: the losing branch
-                    # is causally linked but outside the trace, so the
-                    # RTT identity over the span tree survives.
-                    if tracer.enabled:
-                        tracer.follow_from(
-                            "hedge_straggler" if via == "hedge" else "straggler",
-                            dispatched,
-                            sim.now - dispatched,
-                            node=node_label,
-                            stack=stack_label,
-                            kind="client",
-                            trace=trace,
-                        )
-                    return
-                state["done"] = True
-                consecutive_timeouts[port] = 0
-                if request.verb == "GET":
-                    if hit:
-                        results.get_hits += 1
-                        hits_total.inc()
-                    else:
-                        results.get_misses += 1
-                        misses_total.inc()
-                    results.note_window_get(arrival, hit)
-                else:
-                    results.puts += 1
-                    puts_total.inc()
-                results.response_bytes += response_len
-                response_bytes_total.inc(response_len)
-                if sim.now <= duration_s:
-                    results.record(sim.now - arrival, wait)
-                    completed_total.inc()
-                    if slo_record is not None:
-                        slo_record(sim.now, latency_s=sim.now - arrival, ok=True)
-                    results.component_seconds["hash"] += timing.hash_s
-                    results.component_seconds["memcached"] += timing.memcached_s
-                    results.component_seconds["network"] += timing.network_s
-                    results.per_core_served[core_index] = (
-                        results.per_core_served.get(core_index, 0) + 1
-                    )
-                    served_per_core[core_index].inc()
-                    if tracer.enabled:
-                        # The span tree retraces the request's path: any
-                        # client retry / hedge wait as a root interval,
-                        # then the MAC queue and the latency model's
-                        # network / hash-lookup / memcached stages — as
-                        # roots on the plain path (the flat Fig. 4
-                        # layout), or nested under a "hedge" wrapper
-                        # when the winning attempt was the hedged twin.
-                        trace.annotate(
-                            core=core_index,
-                            verb=request.verb,
-                            value_bytes=served_bytes,
-                            hit=hit,
-                        )
-                        if state["attempts"] > 1:
-                            trace.annotate(attempts=state["attempts"])
-                        parent = None
-                        if via == "hedge":
-                            if dispatched > arrival:
-                                trace.add_span(
-                                    "hedge_wait",
-                                    arrival,
-                                    dispatched - arrival,
-                                    kind="client",
-                                    node="client",
-                                    stack=stack_label,
-                                )
-                            parent = trace.add_span(
-                                "hedge",
-                                dispatched,
-                                sim.now - dispatched,
-                                kind="client",
-                                node=node_label,
-                                stack=stack_label,
-                            )
-                        elif dispatched > arrival:
-                            trace.add_span(
-                                "retry",
-                                arrival,
-                                dispatched - arrival,
-                                kind="client",
-                                node="client",
-                                stack=stack_label,
-                            )
-                        trace.add_span(
-                            "queue",
-                            dispatched,
-                            wait,
-                            parent=parent,
-                            kind="server",
-                            node=node_label,
-                            stack=stack_label,
-                        )
-                        served_at = dispatched + wait
-                        trace.add_span(
-                            "network",
-                            served_at,
-                            timing.network_s,
-                            parent=parent,
-                            kind="server",
-                            node=node_label,
-                            stack=stack_label,
-                        )
-                        trace.add_span(
-                            "hash",
-                            served_at + timing.network_s,
-                            timing.hash_s,
-                            parent=parent,
-                            kind="server",
-                            node=node_label,
-                            stack=stack_label,
-                        )
-                        mc_span = trace.add_span(
-                            "memcached",
-                            served_at + timing.network_s + timing.hash_s,
-                            timing.memcached_s,
-                            parent=parent,
-                            kind="server",
-                            node=node_label,
-                            stack=stack_label,
-                        )
-                        if tiered_cost is not None and tiered_cost.probes:
-                            # Per-tier flash intervals nest inside the
-                            # memcached stage (where the tiered timing
-                            # folded them), laid back to back in probe
-                            # order: log, hash stores, sorted.
-                            probe_at = (
-                                served_at + timing.network_s + timing.hash_s
-                            )
-                            for tier_name, seconds in tiered_cost.probes:
-                                trace.add_span(
-                                    f"flash_{tier_name}",
-                                    probe_at,
-                                    seconds,
-                                    parent=mc_span,
-                                    kind="server",
-                                    node=node_label,
-                                    stack=stack_label,
-                                )
-                                probe_at += seconds
-                        for v_start, v_duration, v_core in state.get(
-                            "verify_spans", ()
-                        ):
-                            # Verify reads nest only while they fit the
-                            # trace interval; late finishers become
-                            # follow-from spans to keep every span
-                            # inside its parent.
-                            if v_start + v_duration <= sim.now + 1e-12:
-                                trace.add_span(
-                                    "verify_read",
-                                    v_start,
-                                    v_duration,
-                                    kind="server",
-                                    node=f"core{v_core}",
-                                    stack=stack_label,
-                                )
-                            else:
-                                tracer.follow_from(
-                                    "verify_read",
-                                    v_start,
-                                    v_duration,
-                                    node=f"core{v_core}",
-                                    stack=stack_label,
-                                    trace=trace,
-                                )
-                        trace.finish(sim.now)
-                        tracer.commit(trace)
-
-            cores[core_index].submit(timing.total_s, complete)
-
-            if (
-                replicated
-                and repl.r > 1
-                and request.verb == "GET"
-                and not state.get("verified", False)
-            ):
-                # Read-quorum cost: the coordinator also consults r-1
-                # more replicas.  Their replies don't gate the RTT (the
-                # fastest copy answers the caller) but the reads occupy
-                # those replicas' cores.
-                state["verified"] = True
-                extra = 0
-                for verify_port in placement.replicas_for(request.key):
-                    if extra == repl.r - 1:
-                        break
-                    if verify_port == port:
-                        continue
-                    verify_core = int(verify_port) - _BASE_TCP_PORT
-                    if verify_core in down_cores:
-                        continue
-                    verify_timing = self.model.request_timing(
-                        "GET", request.value_bytes
-                    )
-                    verify_read_busy.record(verify_timing.total_s)
-                    if charge_op_energy is not None:
-                        # Internal quorum read: no client wire.
-                        charge_op_energy(
-                            sim.now, "GET", request.value_bytes, wire=False
-                        )
-                    if tracer.enabled:
-                        # Parked until the winning attempt commits; the
-                        # service interval is known now, the queue wait
-                        # is deliberately ignored (the reply does not
-                        # gate the caller).
-                        state.setdefault("verify_spans", []).append(
-                            (sim.now, verify_timing.total_s, verify_core)
-                        )
-                    cores[verify_core].submit(
-                        verify_timing.total_s, lambda wait: None
-                    )
-                    results.verify_reads += 1
-                    verify_total.inc()
-                    extra += 1
-
-            if (
-                policy is not None
-                and policy.hedge_after_s is not None
-                and request.verb == "GET"
-            ):
-                def hedge() -> None:
-                    if state["done"]:
-                        return
-                    if replicated:
-                        # Hedge to the key's next replica — the node
-                        # that actually holds a copy.
-                        preferred = placement.replicas_for(request.key)
-                        start = (
-                            preferred.index(port) if port in preferred else -1
-                        )
-                        alt = None
-                        for offset in range(1, len(preferred)):
-                            candidate = preferred[(start + offset) % len(preferred)]
-                            if self._core_index(candidate) not in down_cores:
-                                alt = candidate
-                                break
-                        if alt is None:
-                            return
-                    else:
-                        if len(client_ring) < 2:
-                            return
-                        nodes = sorted(client_ring.nodes)
-                        try:
-                            alt = nodes[(nodes.index(port) + 1) % len(nodes)]
-                        except ValueError:  # primary failed over meanwhile
-                            alt = nodes[0]
-                    alt_core = self._core_index(alt)
-                    if alt_core in down_cores:
-                        return
-                    if (
-                        self.max_queue_per_core is not None
-                        and cores[alt_core].queue_depth >= self.max_queue_per_core
-                    ):
-                        return
-                    results.hedges += 1
-                    hedges_total.inc()
-                    serve(request, state, alt_core, alt, via="hedge")
-
-                sim.schedule(policy.hedge_after_s, hedge)
-
-        def put_copy_resolved(
-            request, state, copy_state, attempt: int,
-            ok: bool, wait: float, response_len: int,
-        ) -> None:
-            """One replica copy of a fanned PUT finished (or timed out)."""
-            copy_state["resolved"] += 1
-            if ok:
-                copy_state["acks"] += 1
-                if (
-                    copy_state["acks"] == copy_state["need"]
-                    and not state["done"]
-                ):
-                    # The W-th ack completes the logical PUT.
-                    state["done"] = True
-                    results.puts += 1
-                    puts_total.inc()
-                    results.response_bytes += response_len
-                    response_bytes_total.inc(response_len)
-                    if sim.now <= duration_s:
-                        results.record(sim.now - state["arrival"], wait)
-                        completed_total.inc()
-                        if slo_record is not None:
-                            slo_record(
-                                sim.now,
-                                latency_s=sim.now - state["arrival"],
-                                ok=True,
-                            )
-                        if tracer.enabled:
-                            trace = state["trace"]
-                            trace.annotate(
-                                verb="PUT",
-                                value_bytes=request.value_bytes,
-                                acks=copy_state["acks"],
-                                replicas=copy_state["total"],
-                            )
-                            if state["attempts"] > 1:
-                                trace.annotate(attempts=state["attempts"])
-                            trace.finish(sim.now)
-                            tracer.commit(trace)
-            if (
-                copy_state["resolved"] == copy_state["total"]
-                and not state["done"]
-            ):
-                # Every copy resolved and the quorum never formed.
-                if policy is not None and attempt + 1 < policy.max_attempts:
-                    results.retries += 1
-                    retries_total.inc()
-                    delay = policy.backoff_s(attempt, retry_rng)
-                    sim.schedule(
-                        delay, lambda: dispatch(request, state, attempt + 1)
-                    )
-                else:
-                    give_up(request, state)
-
-        def send_put_copy(
-            request, state, copy_state, port: str, attempt: int, version: int
-        ) -> None:
-            """Fan one physical copy of a PUT to one replica core."""
-            core_index = int(port) - _BASE_TCP_PORT
-            down = core_index in down_cores
-            lost = down
-            if not lost and injector is not None and (
-                injector.should_drop() or injector.should_corrupt()
-            ):
-                lost = True
-            if not lost and (
-                self.max_queue_per_core is not None
-                and cores[core_index].queue_depth >= self.max_queue_per_core
-            ):
-                results.mac_drops += 1
-                drops_total.inc()
-                lost = True
-            if lost:
-                if down and repl.hinted_handoff:
-                    if hintq.park(
-                        port,
-                        request.key,
-                        version,
-                        request.value_bytes,
-                        trace_id=(
-                            state["trace"].request_id if tracer.enabled else None
-                        ),
-                    ):
-                        results.hints_queued += 1
-                        if tracer.enabled and state["trace"].end_s is None:
-                            # An instant producer span: the copy was
-                            # parked, its replay follows from this
-                            # trace at the node's restart.
-                            state["trace"].add_span(
-                                "hint",
-                                sim.now,
-                                0.0,
-                                kind="producer",
-                                node=f"core{core_index}",
-                                stack=stack_label,
-                            )
-                results.fault_timeouts += 1
-                timeouts_total.inc()
-                consecutive_timeouts[port] = consecutive_timeouts.get(port, 0) + 1
-                if policy is not None and policy.should_fail_over(
-                    consecutive_timeouts[port]
-                ):
-                    fail_over(port)
-                timeout = (
-                    policy.request_timeout_s if policy is not None else 0.0
-                )
-                sim.schedule(
-                    timeout,
-                    lambda: put_copy_resolved(
-                        request, state, copy_state, attempt,
-                        ok=False, wait=0.0, response_len=0,
-                    ),
-                )
-                return
-            _hit, response_len = self._execute(
-                request.key, "PUT", request.value_bytes, core_index
-            )
-            timing = self.model.request_timing("PUT", request.value_bytes)
-            if injector is not None:
-                factor = injector.service_factor(memory_kind)
-                if factor != 1.0:
-                    timing = RequestTiming(
-                        verb=timing.verb,
-                        value_bytes=timing.value_bytes,
-                        hash_s=timing.hash_s,
-                        memcached_s=timing.memcached_s * factor,
-                        network_s=timing.network_s,
-                    )
-            if energy_meter is not None and energy_meter.derate_factor != 1.0:
-                derate = energy_meter.derate_factor
-                timing = RequestTiming(
-                    verb=timing.verb,
-                    value_bytes=timing.value_bytes,
-                    hash_s=timing.hash_s / derate,
-                    memcached_s=timing.memcached_s / derate,
-                    network_s=timing.network_s,
-                )
-            if charge_op_energy is not None:
-                # Each physical copy moves over the wire and through
-                # memory like its own PUT.
-                charge_op_energy(sim.now, "PUT", request.value_bytes)
-            results.replica_puts += 1
-            replica_writes_total.inc()
-            dispatched = sim.now
-            node_label = f"core{core_index}"
-
-            def complete(wait: float) -> None:
-                consecutive_timeouts[port] = 0
-                replica_put_wait.record(wait)
-                if sim.now <= duration_s:
-                    results.component_seconds["hash"] += timing.hash_s
-                    results.component_seconds["memcached"] += timing.memcached_s
-                    results.component_seconds["network"] += timing.network_s
-                    results.per_core_served[core_index] = (
-                        results.per_core_served.get(core_index, 0) + 1
-                    )
-                    served_per_core[core_index].inc()
-                if tracer.enabled:
-                    trace = state["trace"]
-                    if trace.end_s is None:
-                        # This copy resolves before the W-th ack, so its
-                        # whole chain nests inside the logical PUT: one
-                        # wrapper per replica, pipeline stages beneath.
-                        wrapper = trace.add_span(
-                            "replica_put",
-                            dispatched,
-                            sim.now - dispatched,
-                            kind="server",
-                            node=node_label,
-                            stack=stack_label,
-                        )
-                        trace.add_span(
-                            "queue",
-                            dispatched,
-                            wait,
-                            parent=wrapper,
-                            kind="server",
-                            node=node_label,
-                            stack=stack_label,
-                        )
-                        served_at = dispatched + wait
-                        trace.add_span(
-                            "network",
-                            served_at,
-                            timing.network_s,
-                            parent=wrapper,
-                            kind="server",
-                            node=node_label,
-                            stack=stack_label,
-                        )
-                        trace.add_span(
-                            "hash",
-                            served_at + timing.network_s,
-                            timing.hash_s,
-                            parent=wrapper,
-                            kind="server",
-                            node=node_label,
-                            stack=stack_label,
-                        )
-                        trace.add_span(
-                            "memcached",
-                            served_at + timing.network_s + timing.hash_s,
-                            timing.memcached_s,
-                            parent=wrapper,
-                            kind="server",
-                            node=node_label,
-                            stack=stack_label,
-                        )
-                    else:
-                        # Acks past W land after the PUT completed.
-                        tracer.follow_from(
-                            "replica_put_straggler",
-                            dispatched,
-                            sim.now - dispatched,
-                            node=node_label,
-                            stack=stack_label,
-                            kind="server",
-                            trace=trace,
-                        )
-                put_copy_resolved(
-                    request, state, copy_state, attempt,
-                    ok=True, wait=wait, response_len=response_len,
-                )
-
-            cores[core_index].submit(timing.total_s, complete)
-
-        def dispatch_replicated_put(request, state, attempt: int) -> None:
-            """Fan a logical PUT to its preferred list (W-quorum)."""
-            state["attempts"] = attempt + 1
-            preferred = placement.replicas_for(request.key)
-            put_seq[0] += 1
-            copy_state = {
-                "acks": 0,
-                "resolved": 0,
-                "total": len(preferred),
-                "need": min(repl.w, len(preferred)),
-            }
-            for port in preferred:
-                send_put_copy(
-                    request, state, copy_state, port, attempt, put_seq[0]
-                )
-
-        def dispatch(request, state, attempt: int) -> None:
-            """One attempt of one logical request (``attempt`` 0-based)."""
-            if replicated and request.verb != "GET":
-                dispatch_replicated_put(request, state, attempt)
-                return
-            state["attempts"] = attempt + 1
-            if replicated:
-                # Read path: walk the key's preferred list, skipping
-                # failed-over members; retries rotate to the next
-                # replica instead of hammering the same node.
-                preferred = placement.replicas_for(request.key)
-                candidates = [
-                    p for p in preferred if p not in failed_over
-                ] or list(preferred)
-                port = candidates[attempt % len(candidates)]
-            else:
-                if len(client_ring) == 0:
-                    give_up(request, state)
-                    return
-                port = client_ring.node_for(request.key)
-            core_index = int(port) - _BASE_TCP_PORT
-
-            lost = False
-            if injector is not None:
-                if core_index in down_cores:
-                    lost = True
-                elif injector.should_drop() or injector.should_corrupt():
-                    lost = True
-            if not lost and (
-                self.max_queue_per_core is not None
-                and cores[core_index].queue_depth >= self.max_queue_per_core
-            ):
-                # MAC buffer full for this core: the packet is dropped
-                # and the client sees it as a timeout.
-                results.mac_drops += 1
-                drops_total.inc()
-                lost = True
-            if lost:
-                timed_out(request, state, attempt, port)
-                return
-            serve(request, state, core_index, port)
-
-        def flush_batch(core_index: int, reason: str) -> None:
-            """Ship one core's pending ops as a single coalesced frame."""
-            ops = batch_pending[core_index]
-            if not ops:
-                return
-            batch_pending[core_index] = []
-            batch_open_id[core_index] += 1
-            port = str(_BASE_TCP_PORT + core_index)
-            # The whole batch rides one packet train: a down core, an
-            # injected drop, or a full MAC queue loses every op in it
-            # together.  Each op then retries down the serial path —
-            # coalescing is a fast path, not a reliability change.
-            lost = False
-            if injector is not None:
-                if core_index in down_cores:
-                    lost = True
-                elif injector.should_drop() or injector.should_corrupt():
-                    lost = True
-            if not lost and (
-                self.max_queue_per_core is not None
-                and cores[core_index].queue_depth >= self.max_queue_per_core
-            ):
-                results.mac_drops += 1
-                drops_total.inc()
-                lost = True
-            if lost:
-                for request, state in ops:
-                    timed_out(request, state, 0, port)
-                return
-            results.batches += 1
-            results.batched_ops += len(ops)
-            results.batch_flush_reasons[reason] = (
-                results.batch_flush_reasons.get(reason, 0) + 1
-            )
-            batch_flush_total[reason].inc()
-            batch_ops_counter.inc(len(ops))
-            batch_size_histogram.record(float(len(ops)))
-            dispatched = sim.now
-            node_label = f"core{core_index}"
-            outcomes = []
-            timing_ops = []
-            for request, state in ops:
-                state["attempts"] = 1
-                hit, response_len = self._execute(
-                    request.key, request.verb, request.value_bytes, core_index
-                )
-                if fill_on_miss and request.verb == "GET" and not hit:
-                    self._execute(
-                        request.key, "PUT", request.value_bytes, core_index
-                    )
-                served_bytes = (
-                    response_len if request.verb == "GET" else request.value_bytes
-                )
-                if charge_op_energy is not None:
-                    # Every rider moves its own item and wire payload;
-                    # only the per-request framing the batch coalesces
-                    # away is saved (matching batch_timing's model).
-                    charge_op_energy(sim.now, request.verb, served_bytes)
-                outcomes.append((request, state, hit, response_len, served_bytes))
-                timing_ops.append((request.verb, served_bytes))
-            timing = self.model.batch_timing(timing_ops)
-            if injector is not None:
-                factor = injector.service_factor(memory_kind)
-                if factor != 1.0:
-                    timing = RequestTiming(
-                        verb=timing.verb,
-                        value_bytes=timing.value_bytes,
-                        hash_s=timing.hash_s,
-                        memcached_s=timing.memcached_s * factor,
-                        network_s=timing.network_s,
-                    )
-            if energy_meter is not None and energy_meter.derate_factor != 1.0:
-                derate = energy_meter.derate_factor
-                timing = RequestTiming(
-                    verb=timing.verb,
-                    value_bytes=timing.value_bytes,
-                    hash_s=timing.hash_s / derate,
-                    memcached_s=timing.memcached_s / derate,
-                    network_s=timing.network_s,
-                )
-
-            def complete(wait: float) -> None:
-                served_at = dispatched + wait
-                for request, state, hit, response_len, _served in outcomes:
-                    state["done"] = True
-                    if request.verb == "GET":
-                        if hit:
-                            results.get_hits += 1
-                            hits_total.inc()
-                        else:
-                            results.get_misses += 1
-                            misses_total.inc()
-                        results.note_window_get(state["arrival"], hit)
-                    else:
-                        results.puts += 1
-                        puts_total.inc()
-                    results.response_bytes += response_len
-                    response_bytes_total.inc(response_len)
-                if sim.now > duration_s:
-                    return
-                # The batch occupies the core once: component seconds
-                # and the served counter charge per batch/op exactly as
-                # the latency model splits them, while every rider gets
-                # its own RTT sample back to its own arrival.
-                results.component_seconds["hash"] += timing.hash_s
-                results.component_seconds["memcached"] += timing.memcached_s
-                results.component_seconds["network"] += timing.network_s
-                results.per_core_served[core_index] = (
-                    results.per_core_served.get(core_index, 0) + len(outcomes)
-                )
-                served_per_core[core_index].inc(len(outcomes))
-                for request, state, hit, response_len, served_bytes in outcomes:
-                    arrival = state["arrival"]
-                    results.record(sim.now - arrival, wait)
-                    completed_total.inc()
-                    if slo_record is not None:
-                        slo_record(sim.now, latency_s=sim.now - arrival, ok=True)
-                    if tracer.enabled:
-                        # Per-rider span tree: the time spent waiting
-                        # for the batch to fill, then a "batch" wrapper
-                        # holding the shared pipeline stages.
-                        trace = state["trace"]
-                        trace.annotate(
-                            core=core_index,
-                            verb=request.verb,
-                            value_bytes=served_bytes,
-                            hit=hit,
-                            batch_size=len(outcomes),
-                            batch_flush=reason,
-                        )
-                        if dispatched > arrival:
-                            trace.add_span(
-                                "batch_wait",
-                                arrival,
-                                dispatched - arrival,
-                                kind="client",
-                                node="client",
-                                stack=stack_label,
-                            )
-                        parent = trace.add_span(
-                            "batch",
-                            dispatched,
-                            sim.now - dispatched,
-                            kind="server",
-                            node=node_label,
-                            stack=stack_label,
-                        )
-                        trace.add_span(
-                            "queue",
-                            dispatched,
-                            wait,
-                            parent=parent,
-                            kind="server",
-                            node=node_label,
-                            stack=stack_label,
-                        )
-                        trace.add_span(
-                            "network",
-                            served_at,
-                            timing.network_s,
-                            parent=parent,
-                            kind="server",
-                            node=node_label,
-                            stack=stack_label,
-                        )
-                        trace.add_span(
-                            "hash",
-                            served_at + timing.network_s,
-                            timing.hash_s,
-                            parent=parent,
-                            kind="server",
-                            node=node_label,
-                            stack=stack_label,
-                        )
-                        trace.add_span(
-                            "memcached",
-                            served_at + timing.network_s + timing.hash_s,
-                            timing.memcached_s,
-                            parent=parent,
-                            kind="server",
-                            node=node_label,
-                            stack=stack_label,
-                        )
-                        trace.finish(sim.now)
-                        tracer.commit(trace)
-
-            cores[core_index].submit(timing.total_s, complete)
-
-        def batch_enqueue(request, state) -> None:
-            """Buffer one arrival behind its key's core; flush on size
-            or on the linger deadline, whichever lands first."""
-            if len(client_ring) == 0:
-                give_up(request, state)
-                return
-            port = client_ring.node_for(request.key)
-            core_index = int(port) - _BASE_TCP_PORT
-            pending = batch_pending[core_index]
-            pending.append((request, state))
-            if len(pending) >= batching.batch_max:
-                flush_batch(core_index, FLUSH_SIZE)
-            elif len(pending) == 1:
-                open_id = batch_open_id[core_index]
-
-                def linger_fire() -> None:
-                    if batch_open_id[core_index] == open_id:
-                        flush_batch(core_index, FLUSH_LINGER)
-
-                sim.schedule(batching.linger_s, linger_fire)
-
-        diurnal = options.diurnal
-
-        def arrival_delay() -> float:
-            # Without a diurnal schedule the draw is untouched, so the
-            # RNG stream (and every downstream outcome) stays
-            # bit-identical to pre-diurnal runs.
-            if diurnal is None:
-                return rng.expovariate(offered_rate_hz)
-            return rng.expovariate(offered_rate_hz * diurnal.factor(sim.now))
-
-        def arrive() -> None:
-            if sim.now >= duration_s:
-                return
-            request = generator.next_request()
-            # The trace opens at arrival so every attempt — retries,
-            # hedges, replica fan-out — shares one causal context.
-            state = {
-                "done": False,
-                "arrival": sim.now,
-                "attempts": 0,
-                "trace": tracer.begin(sim.now, verb=request.verb),
-            }
-            if batch_enabled:
-                batch_enqueue(request, state)
-            else:
-                dispatch(request, state, 0)
-            sim.schedule(arrival_delay(), arrive)
-
-        warm_span = (
-            profiler.span("warmup") if profiler is not None else nullcontext()
-        )
-        with warm_span:
-            for _ in range(warmup_requests):
-                request = generator.next_request()
-                if replicated:
-                    for warm_port in placement.replicas_for(request.key):
-                        self._execute(
-                            request.key, "PUT", request.value_bytes,
-                            int(warm_port) - _BASE_TCP_PORT,
-                        )
-                else:
-                    self._execute(request.key, "PUT", request.value_bytes)
-                    if tiered_stores is not None:
-                        tiered_stores[self.core_for_key(request.key)].put(
-                            request.key, item_overhead + request.value_bytes
-                        )
-        if tiered_stores is not None:
-            # Warmup populated the tiers outside simulated time; meter
-            # only the measured run (registry counters start clean).
-            for tiered in tiered_stores:
-                tiered.reset_stats()
-                tiered.metered = True
-
-        fidelity = options.fidelity
-        structural_reason: str | None = None
-        if fidelity is not None and fidelity.mode != "full":
-            # Structural features whose event-level interleaving is the
-            # phenomenon under study (quorum fan-out, frame coalescing,
-            # tier probes, hedged twins, span trees, exact order
-            # statistics) cannot be folded analytically; the run
-            # degrades to full DES and records why.
-            if replicated:
-                structural_reason = "replication"
-            elif batch_enabled:
-                structural_reason = "batching"
-            elif tiered_stores is not None:
-                structural_reason = "flashstore"
-            elif policy is not None and policy.hedge_after_s is not None:
-                structural_reason = "hedging"
-            elif tracer.enabled:
-                structural_reason = "tracing"
-            elif keep_samples:
-                structural_reason = "keep_samples"
-
-        if (
-            fidelity is None
-            or fidelity.mode == "full"
-            or structural_reason is not None
-        ):
-            # Pure DES: the historical path, event for event.
-            sim.schedule(arrival_delay(), arrive)
-            sim.run()
-            if fidelity is not None:
-                registry.counter("sim_fidelity_des_seconds_total").inc(
-                    duration_s
-                )
-                results.fidelity = {
-                    "sim_fidelity_mode": fidelity.mode,
-                    "sim_fidelity_fluid_windows_total": 0,
-                    "sim_fidelity_fluid_seconds_total": 0.0,
-                    "sim_fidelity_des_seconds_total": duration_s,
-                    "sim_fidelity_fluid_requests_total": 0,
-                }
-                if structural_reason is not None:
-                    results.fidelity["sim_fidelity_fallback_reason"] = (
-                        structural_reason
-                    )
-        else:
-            self._run_segments(
-                fidelity=fidelity,
-                sim=sim,
-                rng=rng,
-                generator=generator,
-                results=results,
-                registry=registry,
-                duration_s=duration_s,
-                offered_rate_hz=offered_rate_hz,
-                diurnal=diurnal,
-                window_s=window_s,
-                fill_on_miss=fill_on_miss,
-                faults=faults,
-                arrival_delay=arrival_delay,
-                dispatch=dispatch,
-                tracer=tracer,
-                client_ring=client_ring,
-                down_cores=down_cores,
-                cores=cores,
-                energy_meter=energy_meter,
-                slo=slo,
-                timeseries=timeseries,
-                completed_total=completed_total,
-                hits_total=hits_total,
-                misses_total=misses_total,
-                puts_total=puts_total,
-                response_bytes_total=response_bytes_total,
-                served_per_core=served_per_core,
-            )
-        if slo is not None:
-            slo.evaluate(sim.now)
-            results.slo_alerts = list(slo.alerts)
-        if timeseries is not None:
-            timeseries.flush(sim.now)
-            results.timeseries = timeseries
-        if options.trace_digest and tracer.enabled:
-            results.trace_digest = compute_trace_digest(tracer)
-        if tiered_stores is not None:
-            summary = aggregate_tiered_results(tiered_stores)
-            results.flashstore = summary
-            registry.gauge("flashstore_write_amplification").set(
-                summary["write_amplification"]
-            )
-            registry.gauge("flashstore_read_amplification").set(
-                summary["read_amplification"]
-            )
-            registry.gauge("flashstore_index_bytes_per_key").set(
-                summary["index_bytes_per_key"]
-            )
-        if energy_meter is not None:
-            energy_summary = energy_meter.finalize(sim.now, results.completed)
-            results.energy = energy_summary
-            # Re-check §6.5's passive-cooling argument at *measured*
-            # power instead of the worst-case TDP.
-            ThermalReport.from_measured(
-                stack_label,
-                energy_meter.num_stacks,
-                energy_summary["stack_mean_power_w"],
-                passive_limit_w=energy_meter.passive_limit_w,
-            ).export_gauges(registry)
-        return results
-
-    # --- hybrid DES/fluid driver ----------------------------------------------------
-
-    def _run_segments(
-        self,
-        *,
-        fidelity,
-        sim,
-        rng,
-        generator,
-        results,
-        registry,
-        duration_s,
-        offered_rate_hz,
-        diurnal,
-        window_s,
-        fill_on_miss,
-        faults,
-        arrival_delay,
-        dispatch,
-        tracer,
-        client_ring,
-        down_cores,
-        cores,
-        energy_meter,
-        slo,
-        timeseries,
-        completed_total,
-        hits_total,
-        misses_total,
-        puts_total,
-        response_bytes_total,
-        served_per_core,
-    ) -> None:
-        """Drive the run through the fidelity plan's DES/fluid segments.
-
-        DES segments replay the event loop unchanged, so everything
-        inside them (RNG draws, store mutations, event interleavings) is
-        bit-identical to a pure-DES run.  Fluid segments consume the
-        same arrival/workload RNG draws one by one and execute each
-        request *functionally* against the same stores — keeping store
-        contents, hit/miss outcomes, and the RNG cursor exact — while
-        folding the per-request latency/energy/SLO accounting in batches
-        calibrated from the DES-only portion of the run so far.
-        """
-        hybrid = fidelity.mode == "hybrid"
-        fluid_windows = 0
-        fluid_seconds = 0.0
-        fluid_requests = 0
-        des_seconds = 0.0
-        fallback_reason: str | None = None
-        fluid_active_gauge = registry.gauge("sim_fidelity_fluid_active")
-
-        # The arrival chain keeps exactly one pending event; tracking
-        # its absolute fire time lets a fluid window cancel it, replay
-        # the arrival process analytically from that exact time, and
-        # hand the (still-undrawn) next arrival back to DES afterwards.
-        next_arrival = [0.0]
-        arrival_event: list = [None]
-
-        def arrive_h() -> None:
-            if sim.now >= duration_s:
-                arrival_event[0] = None
-                return
-            request = generator.next_request()
-            state = {
-                "done": False,
-                "arrival": sim.now,
-                "attempts": 0,
-                "trace": tracer.begin(sim.now, verb=request.verb),
-            }
-            dispatch(request, state, 0)
-            delay = arrival_delay()
-            next_arrival[0] = sim.now + delay
-            arrival_event[0] = sim.schedule(delay, arrive_h)
-
-        # The RTT/wait histograms stay DES-only for the whole run:
-        # counted fluid completions accumulate in ``deferred_counted``
-        # and fold into the histograms exactly once, after the final
-        # segment — over the distribution that *every* DES island
-        # (calibration prefix, guard-banded fault windows, the trailing
-        # run-end guard band) contributed to.  A per-window fold would
-        # only see the islands before it; the end-of-run fold gives the
-        # tail buckets the whole run's DES evidence.  SLO/throttle
-        # housekeeping inside fluid windows reads the same DES-only
-        # histograms, which is exactly the calibration distribution.
-        rtt_hist = results.rtt_histogram
-        wait_hist = results.wait_histogram
-        deferred_counted = 0
-        folded_per_core: dict[int, int] = {}
-
-        def runtime_tripwire() -> str | None:
-            """Hybrid-only signals that the system is *currently* in a
-            regime whose event-level dynamics matter."""
-            if down_cores:
-                return "cores_down"
-            if results.mac_drops or results.fault_timeouts or results.failed:
-                return "losses_observed"
-            if energy_meter is not None and energy_meter.derate_factor != 1.0:
-                return "thermal_throttle"
-            if slo is not None and slo.active_alerts:
-                return "slo_alert"
-            return None
-
-        def fluid_blocked() -> str | None:
-            """Why a fluid window may not open right now (None = go)."""
-            des_count = rtt_hist.count
-            if des_count < _MIN_CALIBRATION_SAMPLES:
-                return "calibration_too_thin"
-            mean_service = (rtt_hist.total - wait_hist.total) / des_count
-            share_max = 1.0 / len(cores)
-            des_core_total = 0
-            des_core_max = 0
-            for core, served in results.per_core_served.items():
-                des_served = served - folded_per_core.get(core, 0)
-                des_core_total += des_served
-                if des_served > des_core_max:
-                    des_core_max = des_served
-            if des_core_total:
-                share_max = des_core_max / des_core_total
-            # Peak-rate utilisation of the hottest core (the diurnal
-            # factor only ever lowers the rate, so this bounds it).
-            rho = offered_rate_hz * share_max * mean_service
-            if rho > fidelity.max_utilization:
-                return "saturated"
-            if hybrid:
-                return runtime_tripwire()
-            return None
-
-        # Hot-loop caches, all pure functions of (key, size) while the
-        # ring is intact — which every window-entry guard ensures.
-        stores = [server.store for server in self.servers]
-        store_gets = [store.get for store in stores]
-        store_sets = [store.set for store in stores]
-        key_core: dict[bytes, int] = {}
-        payload_cache: dict[int, bytes] = {}
-        digits_cache: dict[int, int] = {}
-        timing_cache: dict[tuple[str, int], RequestTiming] = {}
-        energy_cache: dict[tuple[str, int], tuple] = {}
-        node_for = client_ring.node_for
-        model_timing = self.model.request_timing
-        _expovariate = rng.expovariate
-        _next_raw = generator.next_raw
-        diurnal_factor = diurnal.factor if diurnal is not None else None
-
-        if energy_meter is not None:
-            _e_key_bytes = self.model.cal.default_key_bytes
-            _e_item_overhead = ITEM_OVERHEAD_BYTES + _e_key_bytes
-            _e_flash = self.stack.flash
-
-            def op_energy(verb: str, served_bytes: int) -> tuple:
-                cached = energy_cache.get((verb, served_bytes))
-                if cached is None:
-                    item_bytes = _e_item_overhead + served_bytes
-                    rw = request_wire_payloads(
-                        verb, served_bytes, key_bytes=_e_key_bytes
-                    )
-                    wire = wire_bytes_for_payload(
-                        rw.request_payload
-                    ) + wire_bytes_for_payload(rw.response_payload)
-                    reads = programs = erases = 0.0
-                    if _e_flash is not None:
-                        pages = float(_e_flash.pages_for(item_bytes))
-                        if verb == "GET":
-                            reads = pages
-                        else:
-                            programs = pages
-                            erases = pages / _e_flash.pages_per_block
-                    cached = (2.0 * item_bytes, wire, reads, programs, erases)
-                    energy_cache[(verb, served_bytes)] = cached
-                return cached
-
-        step_limit = fidelity.max_fluid_step_s
-        if timeseries is not None:
-            step_limit = min(step_limit, timeseries.interval_s)
-        if slo is not None:
-            step_limit = min(step_limit, slo.resolution_s)
-
-        def run_fluid_window(
-            seg_start: float, seg_end: float
-        ) -> tuple[str | None, float]:
-            """Fast-forward ``[seg_start, seg_end)``; returns the
-            tripwire reason if the window broke early (None otherwise)
-            and the simulated time actually covered fluidly."""
-            nonlocal fluid_windows, fluid_seconds, fluid_requests
-            nonlocal deferred_counted
-            fluid_windows += 1
-            fluid_active_gauge.set(1.0)
-            pending = arrival_event[0]
-            if pending is not None:
-                sim.cancel(pending)
-                arrival_event[0] = None
-            nt = next_arrival[0]
-
-            cal_mean_rtt = rtt_hist.mean
-            # Arrivals too close to the run's end would complete past
-            # ``duration_s`` in DES, where the conditional stats stop
-            # counting; mirror that cutoff at the calibrated mean RTT.
-            threshold = duration_s - cal_mean_rtt
-
-            cursor = seg_start
-            broke: str | None = None
-            while cursor < seg_end - 1e-12:
-                step_end = min(seg_end, cursor + step_limit)
-                n_req = 0
-                hits = misses = puts = resp_bytes = 0
-                # Timing and energy are pure functions of (verb, served
-                # bytes), so the inner loop only *counts* occurrences per
-                # op shape — key ``served << 1 | is_get`` — and the float
-                # math runs once per distinct shape at the step boundary.
-                op_counts: dict[int, int] = {}
-                late_counts: dict[int, int] = {}
-                core_counts: dict[int, int] = {}
-                win_gets: dict[int, int] = {}
-                win_hits: dict[int, int] = {}
-                _op_get = op_counts.get
-                _core_get = core_counts.get
-                _kc_get = key_core.get
-                while nt < step_end:
-                    t = nt
-                    key, size, is_get = _next_raw()
-                    core = _kc_get(key)
-                    if core is None:
-                        core = int(node_for(key)) - _BASE_TCP_PORT
-                        key_core[key] = core
-                    if is_get:
-                        item = store_gets[core](key)
-                        if item is not None:
-                            hit = True
-                            hits += 1
-                            vlen = len(item.value)
-                            digits = digits_cache.get(vlen)
-                            if digits is None:
-                                digits = len(str(vlen))
-                                digits_cache[vlen] = digits
-                            resp_len = 18 + len(key) + vlen + digits
-                        else:
-                            hit = False
-                            misses += 1
-                            resp_len = 5
-                            if fill_on_miss:
-                                payload = payload_cache.get(size)
-                                if payload is None:
-                                    payload = b"x" * size
-                                    payload_cache[size] = payload
-                                store_sets[core](key, payload)
-                        served = resp_len
-                        if window_s is not None:
-                            widx = int(t / window_s)
-                            win_gets[widx] = win_gets.get(widx, 0) + 1
-                            if hit:
-                                win_hits[widx] = win_hits.get(widx, 0) + 1
-                    else:
-                        puts += 1
-                        payload = payload_cache.get(size)
-                        if payload is None:
-                            payload = b"x" * size
-                            payload_cache[size] = payload
-                        result = store_sets[core](key, payload)
-                        resp_len = len(result.value) + 2
-                        served = size
-                    resp_bytes += resp_len
-                    op = served << 1 | is_get
-                    op_counts[op] = _op_get(op, 0) + 1
-                    if t <= threshold:
-                        core_counts[core] = _core_get(core, 0) + 1
-                    else:
-                        late_counts[op] = late_counts.get(op, 0) + 1
-                    n_req += 1
-                    if diurnal_factor is None:
-                        nt = t + _expovariate(offered_rate_hz)
-                    else:
-                        nt = t + _expovariate(
-                            offered_rate_hz * diurnal_factor(t)
-                        )
-
-                counted_n = n_req - sum(late_counts.values())
-                busy_s = 0.0
-                comp_hash = comp_mc = comp_net = 0.0
-                mem_bytes = wire_bytes = 0.0
-                fl_reads = fl_programs = fl_erases = 0.0
-                for op, n in op_counts.items():
-                    served = op >> 1
-                    verb = "GET" if op & 1 else "PUT"
-                    timing = timing_cache.get((verb, served))
-                    if timing is None:
-                        timing = model_timing(verb, served)
-                        timing_cache[(verb, served)] = timing
-                    busy_s += n * timing.total_s
-                    n_counted = n - late_counts.get(op, 0)
-                    if n_counted:
-                        comp_hash += n_counted * timing.hash_s
-                        comp_mc += n_counted * timing.memcached_s
-                        comp_net += n_counted * timing.network_s
-                    if energy_meter is not None:
-                        mb, wb, fr, fp, fe = op_energy(verb, served)
-                        mem_bytes += n * mb
-                        wire_bytes += n * wb
-                        fl_reads += n * fr
-                        fl_programs += n * fp
-                        fl_erases += n * fe
-
-                # Fold the step's aggregates, then let the DES heap run
-                # housekeeping (timeseries/SLO/energy ticks) up to the
-                # step boundary against the freshened counters.
-                if hits:
-                    results.get_hits += hits
-                    hits_total.inc(hits)
-                if misses:
-                    results.get_misses += misses
-                    misses_total.inc(misses)
-                if puts:
-                    results.puts += puts
-                    puts_total.inc(puts)
-                if resp_bytes:
-                    results.response_bytes += resp_bytes
-                    response_bytes_total.inc(resp_bytes)
-                if window_s is not None:
-                    for widx, n in win_gets.items():
-                        results.window_gets.observe_index(widx, float(n))
-                    for widx, n in win_hits.items():
-                        results.window_hits.observe_index(widx, float(n))
-                if counted_n:
-                    deferred_counted += counted_n
-                    results.completed += counted_n
-                    completed_total.inc(counted_n)
-                    results.component_seconds["hash"] += comp_hash
-                    results.component_seconds["memcached"] += comp_mc
-                    results.component_seconds["network"] += comp_net
-                    for core, n in core_counts.items():
-                        results.per_core_served[core] = (
-                            results.per_core_served.get(core, 0) + n
-                        )
-                        served_per_core[core].inc(n)
-                        folded_per_core[core] = (
-                            folded_per_core.get(core, 0) + n
-                        )
-                    if slo is not None:
-                        slo.record_bulk(
-                            cursor + (step_end - cursor) / 2.0,
-                            counted_n,
-                            rtt_hist.fraction_below,
-                        )
-                if energy_meter is not None and n_req:
-                    energy_meter.charge_core_busy_bulk(cursor, step_end, busy_s)
-                    energy_meter.charge_memory_bytes_bulk(
-                        cursor, step_end, mem_bytes
-                    )
-                    energy_meter.charge_nic_bytes_bulk(
-                        cursor, step_end, wire_bytes
-                    )
-                    if fl_reads or fl_programs or fl_erases:
-                        energy_meter.charge_flash_bulk(
-                            cursor, step_end, fl_reads, fl_programs, fl_erases
-                        )
-                fluid_requests += n_req
-                fluid_seconds += step_end - cursor
-                sim.run(until=step_end)
-                cursor = step_end
-                if hybrid and cursor < seg_end - 1e-12:
-                    broke = runtime_tripwire()
-                    if broke is not None:
-                        break
-
-            next_arrival[0] = nt
-            arrival_event[0] = sim.schedule_at(nt, arrive_h)
-            fluid_active_gauge.set(0.0)
-            return broke, cursor
-
-        # Quiescent-DES sample tracking: fluid windows model the system
-        # *between* perturbations, so the end-of-run fold must scale the
-        # distribution of DES samples observed in quiescent islands
-        # (calibration prefix, trailing guard band) — folding over
-        # fault-window samples would amplify fault-elevated tails into
-        # the fast-forwarded quiescent mass.
-        fault_spans = (
-            []
-            if faults is None
-            else [
-                (
-                    max(0.0, start - fidelity.guard_band_s),
-                    min(duration_s, end + fidelity.guard_band_s),
-                )
-                for start, end in fault_intervals(faults)
-            ]
-        )
-
-        def overlaps_fault(start: float, end: float) -> bool:
-            return any(s < end and start < e for s, e in fault_spans)
-
-        q_rtt = [0] * len(rtt_hist.counts)
-        q_wait = [0] * len(wait_hist.counts)
-        q_count = 0
-        q_rtt_total = 0.0
-        q_wait_total = 0.0
-
-        # --- the segment plan, executed -----------------------------------------
-        first_delay = arrival_delay()
-        next_arrival[0] = first_delay
-        arrival_event[0] = sim.schedule(first_delay, arrive_h)
-        for seg_start, seg_end, seg_kind in plan_segments(
-            fidelity, faults, duration_s
-        ):
-            if seg_kind == "des":
-                des_seconds += seg_end - seg_start
-                quiet = not overlaps_fault(seg_start, seg_end)
-                if quiet:
-                    before_rtt = list(rtt_hist.counts)
-                    before_wait = list(wait_hist.counts)
-                    before = (rtt_hist.count, rtt_hist.total, wait_hist.total)
-                sim.run(until=seg_end)
-                if quiet:
-                    for i, c in enumerate(rtt_hist.counts):
-                        q_rtt[i] += c - before_rtt[i]
-                    for i, c in enumerate(wait_hist.counts):
-                        q_wait[i] += c - before_wait[i]
-                    q_count += rtt_hist.count - before[0]
-                    q_rtt_total += rtt_hist.total - before[1]
-                    q_wait_total += wait_hist.total - before[2]
-                continue
-            reason = fluid_blocked()
-            if reason is not None:
-                if fallback_reason is None:
-                    fallback_reason = reason
-                des_seconds += seg_end - seg_start
-                sim.run(until=seg_end)
-                continue
-            broke, reached = run_fluid_window(seg_start, seg_end)
-            if broke is not None:
-                if fallback_reason is None:
-                    fallback_reason = broke
-                des_seconds += seg_end - reached
-                sim.run(until=seg_end)
-        sim.run()  # drain completions past the horizon
-
-        if deferred_counted:
-            # The end-of-run fold: distribute every counted fluid
-            # completion over the quiescent DES latency/wait
-            # distributions (largest-remainder, so totals are exact and
-            # the folded shape tracks the observed one as closely as
-            # integers allow).  Falls back to the whole DES-only
-            # distribution if quiescent islands somehow saw too few
-            # samples to be a usable shape.
-            if q_count >= _MIN_CALIBRATION_SAMPLES:
-                rtt_counts, rtt_mean = q_rtt, q_rtt_total / q_count
-                wait_counts, wait_mean = q_wait, q_wait_total / q_count
-            else:
-                rtt_counts, rtt_mean = rtt_hist.counts, rtt_hist.mean
-                wait_counts, wait_mean = wait_hist.counts, wait_hist.mean
-            alloc = allocate_proportional(rtt_counts, deferred_counted)
-            rtt_hist.record_bucketed(
-                alloc,
-                deferred_counted * rtt_mean,
-                rtt_hist.min_seen,
-                rtt_hist.max_seen,
-            )
-            walloc = allocate_proportional(wait_counts, deferred_counted)
-            wait_hist.record_bucketed(
-                walloc,
-                deferred_counted * wait_mean,
-                wait_hist.min_seen,
-                wait_hist.max_seen,
-            )
-
-        registry.counter("sim_fidelity_fluid_windows_total").inc(fluid_windows)
-        registry.counter("sim_fidelity_fluid_seconds_total").inc(fluid_seconds)
-        registry.counter("sim_fidelity_des_seconds_total").inc(des_seconds)
-        registry.counter("sim_fidelity_fluid_requests_total").inc(
-            fluid_requests
-        )
-        results.fidelity = {
-            "sim_fidelity_mode": fidelity.mode,
-            "sim_fidelity_fluid_windows_total": fluid_windows,
-            "sim_fidelity_fluid_seconds_total": fluid_seconds,
-            "sim_fidelity_des_seconds_total": des_seconds,
-            "sim_fidelity_fluid_requests_total": fluid_requests,
-        }
-        if fallback_reason is not None:
-            results.fidelity["sim_fidelity_fallback_reason"] = fallback_reason
+        pipeline = RequestPipeline(self, workload, options)
+        pipeline.warm(options.warmup_requests)
+        pipeline.drive()
+        return pipeline.finish()
 
     # --- functional execution -------------------------------------------------------
 
@@ -2662,3 +508,844 @@ class FullSystemStack:
         if reply not in (b"STORED\r\n",) and not reply.startswith(b"SERVER_ERROR"):
             raise SimulationError(f"unexpected store reply {reply!r}")
         return True, len(reply)
+
+
+class RequestPipeline:
+    """One run of a :class:`FullSystemStack`: its state and the request
+    pipeline every request walks.
+
+    arrive → route → loss check → execute and cost → adjust → complete.
+    Each step below has one implementation, shared by the serial path,
+    the quorum's replica copies and the batch former.  Features are
+    wired once at set-up (``quorum``, ``batcher``, ``tiered``,
+    ``hedge_after_s``, ``adjust``, ``charge_op_energy`` are each an
+    object, a bound function or ``None``), so a request never loops over
+    feature objects.
+    """
+
+    def __init__(
+        self, system: FullSystemStack, workload: "WorkloadSpec", options: RunOptions
+    ):
+        from repro.workloads.generator import WorkloadGenerator
+
+        self.system = system
+        self.model = system.model
+        self.stack = system.stack
+        self.stack_label = system.stack.name
+        self.base_port = _BASE_TCP_PORT
+        self.max_queue = system.max_queue_per_core
+        self.execute = system._execute
+        self.options = options
+        self.duration_s = duration_s = options.duration_s
+        self.offered_rate_hz = options.offered_rate_hz
+        self.fill_on_miss = options.fill_on_miss
+        self.diurnal = options.diurnal
+        # Fixed item framing shared with the latency model: the
+        # calibrated default key length, not each request's actual key
+        # bytes, so the tiered store, the energy charges and the timing
+        # math all see the same item footprint.
+        self.key_bytes = self.model.cal.default_key_bytes
+        self.item_overhead = ITEM_OVERHEAD_BYTES + self.key_bytes
+        self._prices: dict[tuple[str, int], tuple] = {}
+
+        telemetry = options.telemetry
+        if telemetry is None:
+            telemetry = NULL_TELEMETRY
+        if options.trace_digest and not telemetry.tracer.enabled:
+            # A digest was requested but no live session attached (the
+            # experiment engine's cached cells run instrument-free):
+            # trace internally with the paper SLA as the tail-sampling
+            # deadline, seeded off the stack seed for reproducibility.
+            telemetry = TelemetrySession(
+                slo_deadline_s=_DIGEST_SLA_DEADLINE_S, sampling_seed=system.seed
+            )
+        self.registry = registry = telemetry.registry
+        self.tracer = telemetry.tracer
+        # Set-up order is schedule order: the instruments' recurring
+        # events, then the fault plane's, then anti-entropy's, then the
+        # first arrival, so same-time events keep their tie-break order.
+        self.sim = sim = Simulator()
+        self.profiler = options.profiler
+        self.timeseries = options.timeseries
+        self.slo = slo = options.slo
+        if self.profiler is not None:
+            self.profiler.attach(sim)
+        if self.timeseries is not None:
+            self.timeseries.install(sim, horizon_s=duration_s)
+        if slo is not None:
+            slo.install(sim, horizon_s=duration_s)
+            if self.tracer.enabled:
+                # Link alerts to representative traces: at fire time the
+                # alert samples the RTT histogram's exemplars from every
+                # bucket reaching past the tightest latency objective.
+                deadlines = [
+                    objective.deadline_s
+                    for objective in slo.objectives.values()
+                    if objective.deadline_s is not None
+                ]
+                if deadlines:
+                    rtt_histogram = registry.histogram("request_rtt_seconds")
+                    exemplar_floor = min(deadlines)
+                    slo.attach_exemplars(
+                        lambda: rtt_histogram.exemplars_above(exemplar_floor)
+                    )
+        self.slo_record = slo.record if slo is not None else None
+        meter = options.energy
+        if meter is None and options.energy_summary:
+            # A summary was requested but no live meter attached (the
+            # experiment engine's cached cells run instrument-free):
+            # meter internally against this stack's derived power model,
+            # sized to the run's window_s (default: twenty windows).
+            meter = EnergyMeter(
+                DynamicPowerModel.for_stack(self.stack),
+                window_s=(
+                    options.window_s
+                    if options.window_s is not None
+                    else duration_s / 20.0
+                ),
+                registry=registry,
+            )
+        self.energy_meter = meter
+        if meter is not None:
+            meter.install(sim, horizon_s=duration_s)
+            self.charge_op_energy = self._charge_op_energy
+        else:
+            self.charge_op_energy = None
+
+        self.rng = make_rng("full-system", system.seed)
+        self.generator = WorkloadGenerator(workload, seed=system.seed)
+        self.cores = [
+            FifoResource(
+                sim,
+                name=f"core{i}",
+                registry=registry,
+                busy_observer=meter.charge_core_busy if meter is not None else None,
+            )
+            for i in range(system.stack.cores)
+        ]
+        for server, core in zip(system.servers, self.cores):
+            server.attach_queue(core)
+        self.results = FullSystemResults(
+            duration_s=duration_s,
+            offered_rate_hz=options.offered_rate_hz,
+            keep_samples=options.keep_samples,
+            window_s=options.window_s,
+        )
+        self.completed_total = registry.counter("requests_completed_total")
+        self.drops_total = registry.counter("mac_drops_total")
+        self.hits_total = registry.counter("get_hits_total")
+        self.misses_total = registry.counter("get_misses_total")
+        self.puts_total = registry.counter("puts_total")
+        self.response_bytes_total = registry.counter("response_bytes_total")
+        self.served_per_core = [
+            registry.counter("requests_served_total", {"core": str(i)})
+            for i in range(system.stack.cores)
+        ]
+        self.failed_total = registry.counter("requests_failed_total")
+        self.retries_total = registry.counter("client_retries_total")
+        self.timeouts_total = registry.counter("client_timeouts_total")
+        self.failovers_total = registry.counter("client_failovers_total")
+        self.hedges_total = registry.counter("client_hedged_requests_total")
+
+        self.policy = policy = options.resilience
+        self.retry_rng = make_rng("resilience", system.seed)
+        self.hedge_after_s = policy.hedge_after_s if policy is not None else None
+        # The client's live view of the cluster: failover removes nodes
+        # here and health checks re-add them; the stack's ring (the
+        # MAC's port map) is never mutated.
+        self.client_ring = ConsistentHashRing(
+            (str(_BASE_TCP_PORT + i) for i in range(system.stack.cores)),
+            vnodes=128,
+        )
+        self.down_cores: set[int] = set()
+        self.failed_over: set[str] = set()
+        self.consecutive_timeouts: dict[str, int] = {}
+
+        self.tiered: list[TieredFlashStore] | None = None
+        if options.flashstore is not None:
+            # One tiered store per core, each seeded off (stack seed,
+            # core index) so runs are reproducible and cores differ.
+            self.tiered = [
+                TieredFlashStore(
+                    system.stack.flash,
+                    options.flashstore,
+                    seed=system.seed,
+                    label=f"core{i}",
+                    registry=registry,
+                )
+                for i in range(system.stack.cores)
+            ]
+        self.batcher = (
+            BatchFormer(self, options.batching)
+            if options.uses("batching")
+            else None
+        )
+        self.admit = (
+            self.batcher.enqueue if self.batcher is not None else self.dispatch
+        )
+        # Background busy-time histograms: simulated core seconds charged
+        # to housekeeping, windowed into the time-series recorder like
+        # any other metric so a run's timeline shows the fault -> hint
+        # replay -> anti-entropy -> recovery sequence.
+        tasks = _BACKGROUND_TASKS
+        if self.tiered is not None:
+            tasks = ("conversion", "compaction") + tasks
+        self.background_busy = {
+            task: registry.histogram("background_busy_seconds", {"task": task})
+            for task in tasks
+        }
+        self.replica_put_wait = registry.histogram("replica_put_wait_seconds")
+        self.quorum = (
+            QuorumPath(self, options.replication)
+            if options.uses("replication")
+            else None
+        )
+        self.fill = self.quorum.fill if self.quorum is not None else self._fill_one
+
+        self.injector: FaultInjector | None = None
+        if options.faults is not None:
+            self.injector = FaultInjector(
+                options.faults, seed=system.seed, registry=registry
+            )
+            self.injector.install(
+                sim, horizon_s=duration_s,
+                on_crash=self._crash_core, on_restart=self._restart_core,
+            )
+        if self.quorum is not None:
+            self.quorum.install_antientropy()
+        self.memory_kind = "flash" if self.model.memory.is_flash else "dram"
+        self.adjust = (
+            self._adjust
+            if self.injector is not None or meter is not None
+            else None
+        )
+        self.next_arrival = 0.0
+        self.arrival_event = None
+
+    # --- set-up and wind-down ------------------------------------------------------
+
+    def warm(self, warmup_requests: int) -> None:
+        """Pre-populate the stores with PUTs outside simulated time."""
+        generator = self.generator
+        profiler = self.profiler
+        warm_span = profiler.span("warmup") if profiler is not None else nullcontext()
+        with warm_span:
+            for _ in range(warmup_requests):
+                request = generator.next_request()
+                if self.quorum is not None:
+                    self.quorum.warm(request)
+                    continue
+                self.execute(request.key, "PUT", request.value_bytes)
+                if self.tiered is not None:
+                    self.tiered[self.system.core_for_key(request.key)].put(
+                        request.key, self.item_overhead + request.value_bytes
+                    )
+        if self.tiered is not None:
+            # Warmup populated the tiers outside simulated time; meter
+            # only the measured run (registry counters start clean).
+            for tiered in self.tiered:
+                tiered.reset_stats()
+                tiered.metered = True
+
+    def drive(self) -> None:
+        """Run the simulated clock: pure DES, or the fluid fold when the
+        fidelity policy allows it."""
+        delay = self.arrival_delay()
+        self.next_arrival = delay
+        self.arrival_event = self.sim.schedule(delay, self.arrive)
+        fidelity = self.options.fidelity
+        reason = None
+        if fidelity is not None and fidelity.mode != "full":
+            # Features whose event-level interleaving is the phenomenon
+            # under study cannot be folded analytically; the run
+            # degrades to full DES and records why.
+            reason = self.options.fluid_fallback_reason()
+            if reason is None:
+                FluidFold(self, fidelity).run()
+                return
+        self.sim.run()
+        if fidelity is not None:
+            self.registry.counter("sim_fidelity_des_seconds_total").inc(
+                self.duration_s
+            )
+            self.results.fidelity = fidelity_provenance(
+                fidelity.mode, self.duration_s, reason
+            )
+
+    def finish(self) -> FullSystemResults:
+        """Close the instruments and summarise the run."""
+        results, registry, now = self.results, self.registry, self.sim.now
+        if self.slo is not None:
+            self.slo.evaluate(now)
+            results.slo_alerts = list(self.slo.alerts)
+        if self.timeseries is not None:
+            self.timeseries.flush(now)
+            results.timeseries = self.timeseries
+        if self.options.trace_digest and self.tracer.enabled:
+            results.trace_digest = compute_trace_digest(self.tracer)
+        if self.tiered is not None:
+            summary = aggregate_tiered_results(self.tiered)
+            results.flashstore = summary
+            for name in (
+                "write_amplification", "read_amplification", "index_bytes_per_key"
+            ):
+                registry.gauge(f"flashstore_{name}").set(summary[name])
+        meter = self.energy_meter
+        if meter is not None:
+            energy_summary = meter.finalize(now, results.completed)
+            results.energy = energy_summary
+            # Re-check §6.5's passive-cooling argument at *measured*
+            # power instead of the worst-case TDP.
+            ThermalReport.from_measured(
+                self.stack_label,
+                meter.num_stacks,
+                energy_summary["stack_mean_power_w"],
+                passive_limit_w=meter.passive_limit_w,
+            ).export_gauges(registry)
+        return results
+
+    def _crash_core(self, node: str) -> None:
+        # §2.3: a downed node loses its share of the cache.
+        index = self.system._core_index(node)
+        self.down_cores.add(index)
+        self.system.servers[index].store.flush_all()
+        if self.tiered is not None:
+            # The crash also loses the tiers' in-memory indexes, so the
+            # tiered store restarts empty with its peer.
+            self.tiered[index].flush()
+
+    def _restart_core(self, node: str) -> None:
+        index = self.system._core_index(node)
+        self.down_cores.discard(index)
+        if self.quorum is not None:
+            self.quorum.replay_hints(index)
+
+    # --- arrive → route → loss check -----------------------------------------------
+
+    def arrival_delay(self) -> float:
+        # Without a diurnal schedule the draw is untouched, so the RNG
+        # stream (and every downstream outcome) stays bit-identical to
+        # pre-diurnal runs.
+        if self.diurnal is None:
+            return self.rng.expovariate(self.offered_rate_hz)
+        return self.rng.expovariate(
+            self.offered_rate_hz * self.diurnal.factor(self.sim.now)
+        )
+
+    def arrive(self) -> None:
+        """One Poisson arrival; keeps exactly one arrival event pending,
+        whose fire time the fluid fold reads."""
+        sim = self.sim
+        now = sim.now
+        if now >= self.duration_s:
+            self.arrival_event = None
+            return
+        request = self.generator.next_request()
+        # The trace opens at arrival so every attempt — retries, hedges,
+        # replica fan-out — shares one causal context.
+        state = {
+            "done": False,
+            "arrival": now,
+            "attempts": 0,
+            "trace": self.tracer.begin(now, verb=request.verb),
+        }
+        self.admit(request, state)
+        delay = self.arrival_delay()
+        self.next_arrival = now + delay
+        self.arrival_event = sim.schedule(delay, self.arrive)
+
+    def route(self, request, state) -> str | None:
+        """The port the client's ring maps the key to (None: no node
+        left, and the request gave up)."""
+        if len(self.client_ring) == 0:
+            self.give_up(request, state)
+            return None
+        return self.client_ring.node_for(request.key)
+
+    def dispatch(self, request, state, attempt: int = 0) -> None:
+        """One attempt of one logical request (``attempt`` 0-based)."""
+        quorum = self.quorum
+        if quorum is not None:
+            if request.verb != "GET":
+                quorum.dispatch_put(request, state, attempt)
+                return
+            state["attempts"] = attempt + 1
+            port = quorum.read_port(request.key, attempt)
+        else:
+            state["attempts"] = attempt + 1
+            port = self.route(request, state)
+            if port is None:
+                return
+        core_index = int(port) - _BASE_TCP_PORT
+        if self.lost(core_index):
+            self.timed_out(request, state, attempt, port)
+            return
+        self.serve(request, state, core_index, port)
+
+    def lost(self, core_index: int) -> bool:
+        """Loss check for one packet train to ``core_index``: a down
+        core, an injected drop or corruption, or a full MAC queue (the
+        client sees each as a timeout)."""
+        injector = self.injector
+        if injector is not None and (
+            core_index in self.down_cores
+            or injector.should_drop()
+            or injector.should_corrupt()
+        ):
+            return True
+        if self._queue_full(core_index):
+            self.results.mac_drops += 1
+            self.drops_total.inc()
+            return True
+        return False
+
+    def _queue_full(self, core_index: int) -> bool:
+        """The MAC's buffer for ``core_index`` is full."""
+        return (
+            self.max_queue is not None
+            and self.cores[core_index].queue_depth >= self.max_queue
+        )
+
+    # --- client resilience -----------------------------------------------------
+
+    def note_timeout(self, port: str) -> None:
+        """Count one timed-out attempt; enough in a row fail the node over."""
+        self.results.fault_timeouts += 1
+        self.timeouts_total.inc()
+        count = self.consecutive_timeouts.get(port, 0) + 1
+        self.consecutive_timeouts[port] = count
+        if self.policy is not None and self.policy.should_fail_over(count):
+            self._fail_over(port)
+
+    def timed_out(self, request, state, attempt: int, port: str) -> None:
+        self.note_timeout(port)
+        self.retry_or_give_up(request, state, attempt, after_timeout=True)
+
+    def retry_or_give_up(
+        self, request, state, attempt: int, *, after_timeout: bool
+    ) -> None:
+        """Retry after backoff (plus the timeout that detected the loss)
+        while attempts remain; otherwise the request fails."""
+        policy = self.policy
+        if policy is None or attempt + 1 >= policy.max_attempts:
+            self.give_up(request, state)
+            return
+        self.results.retries += 1
+        self.retries_total.inc()
+        delay = policy.backoff_s(attempt, self.retry_rng)
+        if after_timeout:
+            delay = policy.request_timeout_s + delay
+        self.sim.schedule(delay, lambda: self.dispatch(request, state, attempt + 1))
+
+    def give_up(self, request, state) -> None:
+        self.results.failed += 1
+        self.failed_total.inc()
+        if self.slo_record is not None:
+            self.slo_record(self.sim.now, ok=False)
+        if self.tracer.enabled:
+            # Error traces are always retained by tail sampling.
+            trace = state["trace"]
+            trace.annotate(
+                verb=request.verb, error="gave_up", attempts=state["attempts"]
+            )
+            trace.finish(self.sim.now)
+            self.tracer.commit(trace)
+        if request.verb == "GET":
+            self.results.note_window_get(state["arrival"], hit=False)
+
+    def _fail_over(self, port: str) -> None:
+        if port in self.failed_over or len(self.client_ring) <= 1:
+            return
+        self.failed_over.add(port)
+        self.client_ring.remove_node(port)
+        self.results.failovers += 1
+        self.failovers_total.inc()
+        if self.sim.now < self.duration_s:
+            self.sim.schedule(
+                self.policy.health_check_interval_s,
+                lambda: self._try_readmit(port),
+            )
+
+    def _try_readmit(self, port: str) -> None:
+        """Health check: re-add a failed-over node once it is up."""
+        if port not in self.failed_over:
+            return
+        if self.system._core_index(port) not in self.down_cores:
+            self.failed_over.discard(port)
+            self.client_ring.add_node(port)
+            self.consecutive_timeouts[port] = 0
+        elif self.sim.now < self.duration_s:
+            self.sim.schedule(
+                self.policy.health_check_interval_s,
+                lambda: self._try_readmit(port),
+            )
+
+    # --- execute and cost → adjust ---------------------------------------------
+
+    def serve(
+        self, request, state, core_index: int, port: str, via: str | None = None
+    ) -> None:
+        """Execute one attempt on ``core_index``, cost it, and queue it."""
+        sim = self.sim
+        tracer = self.tracer
+        verb = request.verb
+        dispatched = sim.now
+        hit, response_len = self.execute(
+            request.key, verb, request.value_bytes, core_index
+        )
+        tiered_cost = None
+        if self.tiered is not None:
+            tiered_cost = self._mirror_tiered(request, core_index, state["trace"])
+        quorum = self.quorum
+        if verb == "GET":
+            if not hit:
+                if quorum is not None:
+                    hit, response_len = quorum.read_repair(
+                        request, state, core_index, response_len
+                    )
+                if self.fill_on_miss and not hit:
+                    self.fill(request, core_index, state["trace"])
+            if quorum is not None:
+                quorum.note_redirect(request.key, port)
+            served_bytes = response_len
+        else:
+            served_bytes = request.value_bytes
+        if tiered_cost is not None:
+            timing = self.model.request_timing_tiered(
+                verb, served_bytes, tiered_cost.service_s
+            )
+        else:
+            timing = self.model.request_timing(verb, served_bytes)
+        if self.adjust is not None:
+            timing = self.adjust(timing)
+        if self.charge_op_energy is not None:
+            self.charge_op_energy(dispatched, verb, served_bytes, tiered_cost)
+
+        def complete(wait: float) -> None:
+            if state["done"]:
+                # A hedged twin already answered: the losing branch is
+                # causally linked but outside the trace, so the RTT
+                # identity over the span tree survives.
+                if tracer.enabled:
+                    tracer.follow_from(
+                        "hedge_straggler" if via == "hedge" else "straggler",
+                        dispatched,
+                        sim.now - dispatched,
+                        node=f"core{core_index}",
+                        stack=self.stack_label,
+                        kind="client",
+                        trace=state["trace"],
+                    )
+                return
+            state["done"] = True
+            self.consecutive_timeouts[port] = 0
+            self.count_outcome(verb, hit, response_len, state["arrival"])
+            if sim.now <= self.duration_s:
+                self.count_latency(state["arrival"], wait)
+                self.charge_service(core_index, timing)
+                if tracer.enabled:
+                    self._trace_served(
+                        request, state, core_index, hit, served_bytes,
+                        timing, tiered_cost, dispatched, wait, via,
+                    )
+
+        self.cores[core_index].submit(timing.total_s, complete)
+        if quorum is not None and verb == "GET":
+            quorum.verify_reads(request, state, port)
+        if self.hedge_after_s is not None and verb == "GET":
+            sim.schedule(
+                self.hedge_after_s, lambda: self._hedge(request, state, port)
+            )
+
+    def _adjust(self, timing: RequestTiming) -> RequestTiming:
+        """Timing adjustment: the fault plane's service factor, then the
+        thermal derate."""
+        if self.injector is not None:
+            factor = self.injector.service_factor(self.memory_kind)
+            if factor != 1.0:
+                timing = replace(timing, memcached_s=timing.memcached_s * factor)
+        meter = self.energy_meter
+        if meter is not None and meter.derate_factor != 1.0:
+            # Thermal throttle feedback: the derated clock stretches the
+            # on-core stages (hash + memcached); the wire time is
+            # unaffected.
+            derate = meter.derate_factor
+            timing = replace(
+                timing,
+                hash_s=timing.hash_s / derate,
+                memcached_s=timing.memcached_s / derate,
+            )
+        return timing
+
+    def op_price(self, verb: str, served_bytes: int) -> tuple:
+        """Energy activity of one op shape, cached: (memory bytes, wire
+        bytes, flash page reads, programs, erases).  ``memory_bandwidth()``
+        moves 2x the item per op (read + response copy, or lookup +
+        store); a flash stack moves whole pages, as the latency model
+        stalls for them."""
+        price = self._prices.get((verb, served_bytes))
+        if price is None:
+            item_bytes = self.item_overhead + served_bytes
+            wire = request_wire_payloads(verb, served_bytes, key_bytes=self.key_bytes)
+            wire_bytes = wire_bytes_for_payload(
+                wire.request_payload
+            ) + wire_bytes_for_payload(wire.response_payload)
+            reads = programs = erases = 0.0
+            flash = self.stack.flash
+            if flash is not None:
+                pages = float(flash.pages_for(item_bytes))
+                if verb == "GET":
+                    reads = pages
+                else:
+                    programs = pages
+                    erases = pages / flash.pages_per_block
+            price = (2.0 * item_bytes, wire_bytes, reads, programs, erases)
+            self._prices[(verb, served_bytes)] = price
+        return price
+
+    def _charge_op_energy(
+        self,
+        t: float,
+        verb: str,
+        served_bytes: int,
+        tiered_cost=None,
+        wire: bool = True,
+    ) -> None:
+        """Charge one op's memory, wire and flash activity to the energy
+        meter; ``wire=False`` for stack-internal ops (replays, repairs,
+        verify reads).  Core busy energy needs no per-op charge — the
+        cores' busy observer charges it over exactly the busy intervals."""
+        meter = self.energy_meter
+        memory, wire_bytes, reads, programs, erases = self.op_price(
+            verb, served_bytes
+        )
+        meter.charge_memory_bytes(t, memory)
+        if wire:
+            meter.charge_nic_bytes(t, wire_bytes)
+        flash = self.stack.flash
+        if flash is None:
+            return
+        if tiered_cost is not None:
+            # Tiered store: reads cost what the tier probe actually
+            # touched; log-structured writes amortise to the item's share
+            # of a page, and erases to that share of a block.
+            if verb == "GET":
+                reads = float(tiered_cost.pages_read)
+            else:
+                programs = (self.item_overhead + served_bytes) / flash.page_bytes
+                erases = programs / flash.pages_per_block
+        if verb == "GET":
+            meter.charge_flash_reads(t, reads)
+        else:
+            meter.charge_flash_programs(t, programs)
+            meter.charge_flash_erases(t, erases)
+
+    def _fill_one(self, request, core_index: int, trace) -> None:
+        """Cache-aside refill: the application fetches the value from its
+        backing store and re-caches it (functional only; the DB round
+        trip is outside the simulated SLA)."""
+        self.execute(request.key, "PUT", request.value_bytes, core_index)
+        if self.tiered is not None:
+            # The refill lands in the tiers too (free, like the plain
+            # functional PUT), but any conversion it tips over is real
+            # background flash work.
+            refill = self.tiered[core_index].put(
+                request.key, self.item_overhead + request.value_bytes
+            )
+            if refill.background:
+                self._charge_tier_moves(core_index, refill.background, trace)
+
+    def _mirror_tiered(self, request, core_index: int, trace):
+        """Mirror the op against this core's tiered store: the functional
+        outcome stays the plain store's (so runs with the tier on/off
+        match request for request), the *cost* becomes the tiers'
+        measured flash work."""
+        tiered = self.tiered[core_index]
+        if request.verb == "GET":
+            cost = tiered.get(request.key)
+        else:
+            cost = tiered.put(request.key, self.item_overhead + request.value_bytes)
+        if cost.background:
+            self._charge_tier_moves(core_index, cost.background, trace)
+        return cost
+
+    def _charge_tier_moves(self, core_index: int, works, trace) -> None:
+        """Conversion/compaction flash time lands on the core that
+        triggered it (the tier moves already happened functionally)."""
+        meter = self.energy_meter
+        flash = self.stack.flash
+        for work in works:
+            if meter is not None:
+                # Tier moves hit the NAND array: every page the move read
+                # and rewrote, plus the rewritten pages' amortised share
+                # of block erases.
+                now = self.sim.now
+                meter.charge_flash_reads(now, float(work.pages_read))
+                meter.charge_flash_programs(now, float(work.pages_written))
+                meter.charge_flash_erases(
+                    now, work.pages_written / flash.pages_per_block
+                )
+            self.background_work(core_index, work.service_s, work.kind, trace)
+
+    def background_work(
+        self, core_index: int, service_s: float, task: str, trace=None
+    ) -> None:
+        """Occupy a core with work no request waits on: recorded under
+        ``background_busy_seconds{task}`` and linked to ``trace`` (if
+        any) by a follow-from span."""
+        self.background_busy[task].record(service_s)
+        if self.tracer.enabled:
+            self.tracer.follow_from(
+                task,
+                self.sim.now,
+                service_s,
+                node=f"core{core_index}",
+                stack=self.stack_label,
+                trace=trace,
+            )
+        self.cores[core_index].submit(service_s, ignore_completion)
+
+    def _hedge(self, request, state, port: str) -> None:
+        """The hedged twin of a slow GET, on the next node."""
+        if state["done"]:
+            return
+        if self.quorum is not None:
+            alt = self.quorum.hedge_port(request.key, port)
+            if alt is None:
+                return
+        else:
+            if len(self.client_ring) < 2:
+                return
+            nodes = sorted(self.client_ring.nodes)
+            try:
+                alt = nodes[(nodes.index(port) + 1) % len(nodes)]
+            except ValueError:  # primary failed over meanwhile
+                alt = nodes[0]
+        alt_core = self.system._core_index(alt)
+        if alt_core in self.down_cores or self._queue_full(alt_core):
+            return
+        self.results.hedges += 1
+        self.hedges_total.inc()
+        self.serve(request, state, alt_core, alt, via="hedge")
+
+    # --- complete ----------------------------------------------------------------
+
+    def count_outcome(
+        self, verb: str, hit: bool, response_len: int, arrival: float
+    ) -> None:
+        """A logical request's functional outcome: hit/miss/put and
+        response bytes."""
+        results = self.results
+        if verb == "GET":
+            if hit:
+                results.get_hits += 1
+                self.hits_total.inc()
+            else:
+                results.get_misses += 1
+                self.misses_total.inc()
+            results.note_window_get(arrival, hit)
+        else:
+            results.puts += 1
+            self.puts_total.inc()
+        results.response_bytes += response_len
+        self.response_bytes_total.inc(response_len)
+
+    def count_latency(self, arrival: float, wait: float) -> None:
+        """A completion inside the horizon: RTT and wait samples and the
+        SLO record."""
+        now = self.sim.now
+        self.results.record(now - arrival, wait)
+        self.completed_total.inc()
+        if self.slo_record is not None:
+            self.slo_record(now, latency_s=now - arrival, ok=True)
+
+    def charge_service(
+        self, core_index: int, timing: RequestTiming, served: int = 1
+    ) -> None:
+        """One core job's component seconds and served-request count."""
+        components = self.results.component_seconds
+        components["hash"] += timing.hash_s
+        components["memcached"] += timing.memcached_s
+        components["network"] += timing.network_s
+        per_core = self.results.per_core_served
+        per_core[core_index] = per_core.get(core_index, 0) + served
+        self.served_per_core[core_index].inc(served)
+
+    def client_wait(self, trace, name: str, arrival: float, dispatched: float) -> None:
+        """The client-side interval before the serving attempt went out
+        (retry backoff, hedge delay, batch fill), if any."""
+        if dispatched > arrival:
+            trace.add_span(
+                name, arrival, dispatched - arrival,
+                kind="client", node="client", stack=self.stack_label,
+            )
+
+    def server_spans(self, trace, dispatched, wait, timing, parent, node):
+        """The server span chain queue → network → hash → memcached under
+        ``parent``; returns the memcached span."""
+        stack = self.stack_label
+        trace.add_span(
+            "queue", dispatched, wait,
+            parent=parent, kind="server", node=node, stack=stack,
+        )
+        served_at = dispatched + wait
+        trace.add_span(
+            "network", served_at, timing.network_s,
+            parent=parent, kind="server", node=node, stack=stack,
+        )
+        trace.add_span(
+            "hash", served_at + timing.network_s, timing.hash_s,
+            parent=parent, kind="server", node=node, stack=stack,
+        )
+        return trace.add_span(
+            "memcached",
+            served_at + timing.network_s + timing.hash_s,
+            timing.memcached_s,
+            parent=parent, kind="server", node=node, stack=stack,
+        )
+
+    def _trace_served(
+        self, request, state, core_index, hit, served_bytes,
+        timing, tiered_cost, dispatched, wait, via,
+    ) -> None:
+        """Commit a served request's span tree.  It retraces the path: any
+        client retry / hedge wait as a root interval, then the server
+        chain — as roots on the plain path (the flat Fig. 4 layout), or
+        nested under a "hedge" wrapper when the hedged twin won."""
+        now = self.sim.now
+        stack = self.stack_label
+        node = f"core{core_index}"
+        arrival = state["arrival"]
+        trace = state["trace"]
+        trace.annotate(
+            core=core_index, verb=request.verb, value_bytes=served_bytes, hit=hit
+        )
+        if state["attempts"] > 1:
+            trace.annotate(attempts=state["attempts"])
+        parent = None
+        if via == "hedge":
+            self.client_wait(trace, "hedge_wait", arrival, dispatched)
+            parent = trace.add_span(
+                "hedge", dispatched, now - dispatched,
+                kind="client", node=node, stack=stack,
+            )
+        else:
+            self.client_wait(trace, "retry", arrival, dispatched)
+        memcached_span = self.server_spans(
+            trace, dispatched, wait, timing, parent, node
+        )
+        if tiered_cost is not None and tiered_cost.probes:
+            # Per-tier flash intervals nest inside the memcached stage
+            # (where the tiered timing folded them), laid back to back
+            # in probe order: log, hash stores, sorted.
+            probe_at = dispatched + wait + timing.network_s + timing.hash_s
+            for tier_name, seconds in tiered_cost.probes:
+                trace.add_span(
+                    f"flash_{tier_name}", probe_at, seconds,
+                    parent=memcached_span, kind="server", node=node, stack=stack,
+                )
+                probe_at += seconds
+        if self.quorum is not None:
+            self.quorum.close_verify_spans(trace, state)
+        trace.finish(now)
+        self.tracer.commit(trace)

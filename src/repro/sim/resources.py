@@ -24,6 +24,10 @@ class _Job:
     enqueued_at: float
 
 
+def ignore_completion(wait: float) -> None:
+    """Completion callback of a job nothing waits on (background work)."""
+
+
 class FifoResource:
     """An s-server FIFO queue attached to a simulator.
 

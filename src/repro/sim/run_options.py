@@ -60,6 +60,69 @@ _CONFIG_FIELDS = (
 #: Live observers excluded from equality, hashing, and serialisation.
 _INSTRUMENT_FIELDS = ("telemetry", "timeseries", "slo", "profiler", "energy")
 
+#: Sub-configuration fields: their type and the parser of their
+#: :meth:`RunOptions.to_dict` form.
+_SUB_CONFIGS = {
+    "faults": (FaultSchedule, FaultSchedule.from_dict),
+    "resilience": (ResiliencePolicy, lambda d: ResiliencePolicy(**d)),
+    "replication": (ReplicationConfig, lambda d: ReplicationConfig(**d)),
+    "batching": (BatchPolicy, BatchPolicy.from_dict),
+    "flashstore": (TieredStoreConfig, TieredStoreConfig.from_dict),
+    "diurnal": (DiurnalSchedule, DiurnalSchedule.from_dict),
+    "fidelity": (FidelityPolicy, FidelityPolicy.from_dict),
+}
+
+#: When each optional feature of a run is on.  The two tables below name
+#: features by these keys.
+_FEATURES = {
+    "replication": lambda o: o.replication is not None and o.replication.n > 1,
+    "batching": lambda o: o.batching is not None and o.batching.enabled,
+    "flashstore": lambda o: o.flashstore is not None,
+    "hedging": lambda o: (
+        o.resilience is not None and o.resilience.hedge_after_s is not None
+    ),
+    "tracing": lambda o: o.trace_digest or (
+        o.telemetry is not None and o.telemetry.tracer.enabled
+    ),
+    "keep_samples": lambda o: o.keep_samples,
+}
+
+#: Feature pairs one run refuses, each with the reason it gives.
+REFUSED_PAIRS = (
+    (
+        "batching",
+        "replication",
+        "batched dispatch and replication (n > 1) cannot be combined in "
+        "the full-system run; batch against a sharded stack",
+    ),
+    (
+        "flashstore",
+        "replication",
+        "the tiered flash store and replication (n > 1) cannot be "
+        "combined yet; run sharded",
+    ),
+    (
+        "flashstore",
+        "batching",
+        "the tiered flash store and batched dispatch cannot be combined "
+        "yet; run the serial path",
+    ),
+)
+
+#: Features the fluid fold cannot fast-forward — quorum fan-out, frame
+#: coalescing, tier probes, hedged twins, span trees and exact order
+#: statistics are event-level phenomena — in precedence order: a hybrid
+#: or fluid run using any of them runs full DES and records the first as
+#: its fallback reason.
+NO_FLUID_FOLD = (
+    "replication",
+    "batching",
+    "flashstore",
+    "hedging",
+    "tracing",
+    "keep_samples",
+)
+
 
 @dataclass(frozen=True)
 class RunOptions:
@@ -91,7 +154,8 @@ class RunOptions:
     ``fidelity`` (a :class:`~repro.sim.fidelity.FidelityPolicy`) lets the
     run fast-forward steady-state stretches through the fluid model;
     ``None`` keeps the historical pure-DES path (and the historical
-    cache keys) bit-identical.
+    cache keys) bit-identical.  A value that turns on a pair of features
+    in :data:`REFUSED_PAIRS` cannot be built.
 
     ``telemetry``/``timeseries``/``slo``/``profiler``/``energy`` are
     instruments:
@@ -134,6 +198,25 @@ class RunOptions:
             raise ConfigurationError("warmup_requests cannot be negative")
         if self.window_s is not None and self.window_s <= 0:
             raise ConfigurationError("window_s must be positive")
+        for first, second, reason in REFUSED_PAIRS:
+            if self.uses(first) and self.uses(second):
+                raise ConfigurationError(
+                    f"RunOptions({first}=..., {second}=...): {reason}"
+                )
+
+    # --- features -----------------------------------------------------------
+
+    def uses(self, feature: str) -> bool:
+        """Whether this run turns ``feature`` on (``replication`` counts
+        only at ``n > 1``, ``batching`` only at ``batch_max > 1``)."""
+        return bool(_FEATURES[feature](self))
+
+    def fluid_fallback_reason(self) -> str | None:
+        """The first :data:`NO_FLUID_FOLD` feature this run uses, or
+        ``None`` when the fluid fold may fast-forward it."""
+        return next(
+            (feature for feature in NO_FLUID_FOLD if self.uses(feature)), None
+        )
 
     # --- serialisation ------------------------------------------------------
 
@@ -193,48 +276,11 @@ class RunOptions:
         for key in ("offered_rate_hz", "duration_s"):
             if key not in data:
                 raise ConfigurationError(f"RunOptions dict needs {key!r}")
-        faults = data.get("faults")
-        if faults is not None and not isinstance(faults, FaultSchedule):
-            faults = FaultSchedule.from_dict(faults)
-        resilience = data.get("resilience")
-        if resilience is not None and not isinstance(resilience, ResiliencePolicy):
-            resilience = ResiliencePolicy(**resilience)
-        replication = data.get("replication")
-        if replication is not None and not isinstance(
-            replication, ReplicationConfig
-        ):
-            replication = ReplicationConfig(**replication)
-        batching = data.get("batching")
-        if batching is not None and not isinstance(batching, BatchPolicy):
-            batching = BatchPolicy.from_dict(batching)
-        flashstore = data.get("flashstore")
-        if flashstore is not None and not isinstance(
-            flashstore, TieredStoreConfig
-        ):
-            flashstore = TieredStoreConfig.from_dict(flashstore)
-        diurnal = data.get("diurnal")
-        if diurnal is not None and not isinstance(diurnal, DiurnalSchedule):
-            diurnal = DiurnalSchedule.from_dict(diurnal)
-        fidelity = data.get("fidelity")
-        if fidelity is not None and not isinstance(fidelity, FidelityPolicy):
-            fidelity = FidelityPolicy.from_dict(fidelity)
-        return cls(
-            offered_rate_hz=data["offered_rate_hz"],
-            duration_s=data["duration_s"],
-            warmup_requests=data.get("warmup_requests", 0),
-            keep_samples=data.get("keep_samples", False),
-            window_s=data.get("window_s"),
-            fill_on_miss=data.get("fill_on_miss", False),
-            faults=faults,
-            resilience=resilience,
-            replication=replication,
-            trace_digest=data.get("trace_digest", False),
-            batching=batching,
-            flashstore=flashstore,
-            energy_summary=data.get("energy_summary", False),
-            diurnal=diurnal,
-            fidelity=fidelity,
-        )
+        for name, (kind, parse) in _SUB_CONFIGS.items():
+            value = data.get(name)
+            if value is not None and not isinstance(value, kind):
+                data[name] = parse(value)
+        return cls(**data)
 
     # --- ergonomics ---------------------------------------------------------
 

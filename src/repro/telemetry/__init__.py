@@ -5,8 +5,8 @@ opt-in: instrumented components default to :data:`NULL_TELEMETRY` /
 :data:`NULL_REGISTRY`, whose methods are no-ops, so a run without
 telemetry is byte-for-byte identical to the uninstrumented code path.
 
-Enable it by constructing a :class:`TelemetrySession` and passing it to
-``FullSystemStack.run(..., telemetry=session)``, then export with
+Enable it by constructing a :class:`TelemetrySession` and attaching it
+to a run as ``RunOptions(..., telemetry=session)``, then export with
 :func:`write_trace_jsonl`, :func:`prometheus_text`, or
 :func:`summary_table` — or from the shell: ``python -m repro telemetry``.
 """

@@ -50,8 +50,8 @@ class EventStats:
 
 
 def _label(callback: Callable) -> str:
-    """Compressed identity of an event callback: ``run.arrive``, not
-    ``FullSystemStack.run.<locals>.arrive``."""
+    """Compressed identity of an event callback: ``serve.complete``, not
+    ``RequestPipeline.serve.<locals>.complete``."""
     name = getattr(callback, "__qualname__", None)
     if name is None:
         name = type(callback).__name__

@@ -1,5 +1,7 @@
 """The scenario registry: names, fault wiring, spec construction."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -7,6 +9,7 @@ from repro.exp import SCENARIOS, Scenario, get_scenario, scenario_names
 from repro.exp.cache import cache_key
 from repro.exp.spec import StackSpec
 from repro.faults import PRESETS
+from repro.kvstore.batching import BatchPolicy
 
 
 class TestRegistry:
@@ -89,14 +92,14 @@ class TestTieredScenarios:
     def test_registry_entries_route_through_the_flash_store(self):
         tiered = get_scenario("iridium-tiered")
         writeheavy = get_scenario("iridium-tiered-writeheavy")
-        assert tiered.flashstore and writeheavy.flashstore
         assert tiered.get_fraction == 0.9
         assert writeheavy.get_fraction == 0.5
         for scenario in (tiered, writeheavy):
             options = scenario.run_options(offered_rate_hz=1e4, duration_s=1.0)
             config = options.flashstore
             assert config is not None
-            assert config.log_segment_pages == scenario.flashstore_segment_pages
+            assert config == scenario.flashstore_config()
+            assert config.log_segment_pages == 256
 
     def test_plain_scenarios_leave_flashstore_off(self):
         options = get_scenario("baseline").run_options(
@@ -106,11 +109,11 @@ class TestTieredScenarios:
         assert get_scenario("baseline").flashstore_config() is None
 
     def test_flashstore_and_batching_refuse_to_combine(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError, match="batching"):
-                Scenario(
-                    name="x", description="d", flashstore=True, batch_max=16
-                )
+        options = get_scenario("iridium-tiered").run_options(
+            offered_rate_hz=1e4, duration_s=1.0
+        )
+        with pytest.raises(ConfigurationError, match="batching"):
+            dataclasses.replace(options, batching=BatchPolicy(batch_max=16))
 
     def test_flashstore_and_batching_refuse_to_combine_via_overrides(self):
         with pytest.raises(ConfigurationError, match="batching"):
@@ -124,14 +127,12 @@ class TestTieredScenarios:
             )
 
     def test_segment_pages_validated_eagerly(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError):
-                Scenario(
-                    name="x",
-                    description="d",
-                    flashstore=True,
-                    flashstore_segment_pages=0,
-                )
+        with pytest.raises(ConfigurationError, match="log_segment_pages"):
+            Scenario(
+                name="x",
+                description="d",
+                overrides={"flashstore": {"log_segment_pages": 0}},
+            )
 
     def test_tiered_spec_gets_its_own_cache_key(self):
         stack = StackSpec(cores=2, memory_per_core_bytes=1 << 22)
@@ -147,8 +148,7 @@ class TestTieredScenarios:
 class TestEnergyScenario:
     def test_registry_entry_turns_on_meter_and_diurnal(self):
         scenario = get_scenario("energy-diurnal")
-        assert scenario.energy
-        assert scenario.diurnal_day_s == 1.0
+        assert scenario.diurnal_schedule().day_length_s == 1.0
         options = scenario.run_options(offered_rate_hz=1e4, duration_s=1.0)
         assert options.energy_summary
         assert options.diurnal == scenario.diurnal_schedule()
@@ -164,13 +164,16 @@ class TestEnergyScenario:
         assert cache_key(plain) != cache_key(metered)
 
     def test_negative_diurnal_day_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError, match="diurnal"):
-                Scenario(name="x", description="d", diurnal_day_s=-1.0)
+        with pytest.raises(ConfigurationError, match="day length"):
+            Scenario(
+                name="x",
+                description="d",
+                overrides={"diurnal": {"day_length_s": -1.0}},
+            )
 
 
 class TestOverrides:
-    """The overrides mapping: validation, shims, and cache-key coverage."""
+    """The overrides mapping: validation and cache-key coverage."""
 
     STACK = StackSpec(cores=2, memory_per_core_bytes=1 << 22)
 
@@ -206,24 +209,6 @@ class TestOverrides:
         assert options.batching.batch_max == 8
         assert options.energy_summary
         assert options.trace_digest
-
-    def test_legacy_kwargs_warn_and_map_to_overrides(self):
-        with pytest.warns(DeprecationWarning, match="overrides"):
-            legacy = Scenario(
-                name="x", description="d", batch_max=16, batch_linger_s=1e-4
-            )
-        assert legacy.overrides["batching"]["batch_max"] == 16
-        assert legacy.batch_max == 16  # derived view still readable
-        assert legacy.batch_policy() is not None
-        modern = Scenario(
-            name="x",
-            description="d",
-            overrides={
-                "batching": {"batch_max": 16, "linger_s": 1e-4,
-                             "dedup_gets": True}
-            },
-        )
-        assert legacy == modern
 
     def test_every_override_changes_the_cache_key(self):
         """No override can hide from the experiment cache: each example

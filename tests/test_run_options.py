@@ -1,5 +1,6 @@
-"""RunOptions: validation, round-tripping, and the legacy-kwargs shim."""
+"""RunOptions: validation, refused feature pairs, and round-tripping."""
 
+import dataclasses
 import json
 
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 from repro.core import mercury_stack
 from repro.errors import ConfigurationError
 from repro.faults import DEFAULT_RESILIENCE, PRESETS
+from repro.flashstore.compaction import TieredStoreConfig
+from repro.kvstore.batching import BatchPolicy
 from repro.replication import ReplicationConfig
 from repro.sim.full_system import FullSystemStack
 from repro.sim.run_options import RunOptions
-from repro.telemetry import TelemetrySession
+from repro.telemetry import MetricsRegistry, TelemetrySession
 from repro.units import MB
 from repro.workloads import WorkloadSpec
 from repro.workloads.distributions import fixed_size
@@ -57,6 +60,73 @@ class TestValidation:
     def test_missing_required_dict_field_rejected(self):
         with pytest.raises(ConfigurationError, match="offered_rate_hz"):
             RunOptions.from_dict({"duration_s": 1.0})
+
+
+#: The refused feature pairs, each as the RunOptions fields that turn
+#: both features on.
+REFUSED = {
+    "batching-replication": {
+        "batching": BatchPolicy(batch_max=16, linger_s=100e-6),
+        "replication": ReplicationConfig(n=3, r=2, w=2),
+    },
+    "flashstore-replication": {
+        "flashstore": TieredStoreConfig(),
+        "replication": ReplicationConfig(n=2, r=1, w=2),
+    },
+    "flashstore-batching": {
+        "flashstore": TieredStoreConfig(),
+        "batching": BatchPolicy(batch_max=16, linger_s=100e-6),
+    },
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("pair", sorted(REFUSED))
+    def test_refused_pair_raises_when_built(self, pair):
+        features = REFUSED[pair]
+        with pytest.raises(ConfigurationError, match="cannot be combined"):
+            RunOptions(offered_rate_hz=1000.0, duration_s=1.0, **features)
+        with pytest.raises(ConfigurationError, match="cannot be combined"):
+            dataclasses.replace(RunOptions(1000.0, 1.0), **features)
+        with pytest.raises(ConfigurationError, match="cannot be combined"):
+            RunOptions.from_dict(
+                {"offered_rate_hz": 1000.0, "duration_s": 1.0, **features}
+            )
+
+    def test_single_copy_replication_and_serial_batching_combine(self):
+        # n=1 is the sharded path and batch_max=1 the serial path, so
+        # neither turns its feature on.
+        options = RunOptions(
+            1000.0,
+            1.0,
+            batching=BatchPolicy(batch_max=1),
+            replication=ReplicationConfig(n=1, r=1, w=1),
+            flashstore=TieredStoreConfig(),
+        )
+        assert not options.uses("batching")
+        assert not options.uses("replication")
+        assert options.uses("flashstore")
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            RunOptions(5_000.0, 0.05, flashstore=TieredStoreConfig()),
+            RunOptions(
+                5_000.0, 0.05, replication=ReplicationConfig(n=3, r=2, w=2)
+            ),
+        ],
+        ids=["flashstore-on-dram", "replicas-exceed-cores"],
+    )
+    def test_stack_refusals_leave_instruments_untouched(self, options):
+        # make_stack() is a two-core Mercury (DRAM) stack.
+        registry = MetricsRegistry()
+        options = options.with_instruments(
+            telemetry=TelemetrySession(registry=registry)
+        )
+        registered = len(registry)  # the session's own tracer counters
+        with pytest.raises(ConfigurationError):
+            make_stack().run(small_workload(), options)
+        assert len(registry) == registered
 
 
 class TestRoundTrip:
@@ -110,45 +180,7 @@ class TestRoundTrip:
 
 
 class TestDeprecationShim:
-    def test_legacy_kwargs_warn_and_still_run(self):
-        with pytest.warns(DeprecationWarning, match="RunOptions"):
-            results = make_stack().run(
-                small_workload(), offered_rate_hz=5_000.0, duration_s=0.05
-            )
-        assert results.completed > 0
-
-    def test_legacy_positional_rate_and_duration_warn(self):
-        with pytest.warns(DeprecationWarning):
-            results = make_stack().run(small_workload(), 5_000.0, 0.05)
-        assert results.completed > 0
-
-    def test_legacy_path_matches_options_path(self):
-        new = make_stack().run(
-            small_workload(), RunOptions(offered_rate_hz=5_000.0, duration_s=0.1)
-        )
-        with pytest.warns(DeprecationWarning):
-            old = make_stack().run(
-                small_workload(), offered_rate_hz=5_000.0, duration_s=0.1
-            )
-        assert old.to_dict() == new.to_dict()
-
-    def test_mixing_options_and_kwargs_rejected(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            make_stack().run(
-                small_workload(),
-                RunOptions(5_000.0, 0.05),
-                warmup_requests=10,
-            )
-
-    def test_unknown_legacy_kwarg_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError, match="unsupported"):
-                make_stack().run(
-                    small_workload(),
-                    offered_rate_hz=5_000.0,
-                    duration_s=0.05,
-                    bogus_flag=True,
-                )
+    """The legacy-kwargs shim is gone; nothing warns any more."""
 
     def test_options_run_emits_no_warning(self, recwarn):
         make_stack().run(small_workload(), RunOptions(5_000.0, 0.05))
