@@ -37,6 +37,9 @@ class ConsistentHashRing:
         self._points: list[int] = []
         self._owners: list[str] = []
         self._nodes: set[str] = set()
+        #: Bumped by every membership change, so lookups memoised per key
+        #: (replica placement) know when their answers went stale.
+        self.generation = 0
         for node in nodes:
             self.add_node(node)
 
@@ -61,6 +64,7 @@ class ConsistentHashRing:
             index = bisect.bisect(self._points, point)
             self._points.insert(index, point)
             self._owners.insert(index, node)
+        self.generation += 1
 
     def remove_node(self, node: str) -> None:
         """Remove a physical node and all its virtual points."""
@@ -70,6 +74,7 @@ class ConsistentHashRing:
         keep = [(p, o) for p, o in zip(self._points, self._owners) if o != node]
         self._points = [p for p, _o in keep]
         self._owners = [o for _p, o in keep]
+        self.generation += 1
 
     # --- lookup -----------------------------------------------------------------
 

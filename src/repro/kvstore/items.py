@@ -24,9 +24,13 @@ _cas_counter = count(1)
 MAX_KEY_LENGTH = 250
 
 
-@dataclass
+@dataclass(slots=True)
 class Item:
-    """One stored key-value pair."""
+    """One stored key-value pair.
+
+    Slotted to keep host memory per stored copy small: a full store
+    holds one per copy.
+    """
 
     key: bytes
     value: bytes

@@ -12,8 +12,10 @@ evicted before giving up (memcached never steals pages across classes in
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 
 from repro.errors import CapacityError, ConfigurationError, StorageError
 from repro.kvstore.hash_table import HashTable
@@ -90,7 +92,7 @@ class KVStore:
             raise ConfigurationError("time cannot go backwards")
         self.now += delta
 
-    def _absolute_expiry(self, expire: float) -> float:
+    def absolute_expiry(self, expire: float) -> float:
         """Memcached's convention: small values are relative seconds,
         values beyond 30 days are an absolute timestamp, 0 = never."""
         if expire == 0:
@@ -181,7 +183,7 @@ class KVStore:
             key=key,
             value=value,
             flags=flags,
-            expire_at=self._absolute_expiry(expire),
+            expire_at=self.absolute_expiry(expire),
             stored_at=self.now,
             last_access=self.now,
             seq=self._seq,
@@ -201,6 +203,22 @@ class KVStore:
         self.stats.total_items += 1
         self.stats.bytes_written += len(value)
         return StoreResult.STORED
+
+    def set_absolute(
+        self, key: bytes, value: bytes, flags: int = 0, expire_at: float = 0.0
+    ) -> StoreResult:
+        """:meth:`set` with an absolute expiry (logical time; 0 = never).
+
+        For copies of an existing item (replica repair, hint replay,
+        append/incr): handing its remaining life to :meth:`set` as a TTL
+        would read anything beyond 30 days as an absolute timestamp.
+        """
+        result = self.set(key, value, flags)
+        if expire_at and result is StoreResult.STORED:
+            stored = self.table.find(key)
+            assert stored is not None
+            stored.expire_at = expire_at
+        return result
 
     def add(self, key: bytes, value: bytes, flags: int = 0, expire: float = 0) -> StoreResult:
         """Store only if the key does not exist."""
@@ -243,13 +261,8 @@ class KVStore:
         if item is None:
             return StoreResult.NOT_STORED
         new_value = extra + item.value if prepend else item.value + extra
-        expire_at = item.expire_at
         self.stats.cmd_set -= 1  # the inner set() recounts it
-        result = self.set(key, new_value, flags=item.flags)
-        restored = self.table.find(key)
-        assert restored is not None
-        restored.expire_at = expire_at
-        return result
+        return self.set_absolute(key, new_value, item.flags, item.expire_at)
 
     def get(self, key: bytes) -> Item | None:
         """Fetch an item (GET), updating LRU recency.
@@ -333,7 +346,7 @@ class KVStore:
         item = self._lookup_live(key)
         if item is None:
             return StoreResult.NOT_FOUND
-        item.expire_at = self._absolute_expiry(expire)
+        item.expire_at = self.absolute_expiry(expire)
         return StoreResult.TOUCHED
 
     def incr(self, key: bytes, delta: int) -> int | None:
@@ -365,10 +378,7 @@ class KVStore:
         new_value = max(0, current + delta) % (1 << 64)
         encoded = str(new_value).encode()
         # Re-store through set() so slab accounting tracks any size change.
-        self.set(key, encoded, flags=item.flags)
-        restored = self.table.find(key)
-        assert restored is not None
-        restored.expire_at = item.expire_at
+        self.set_absolute(key, encoded, item.flags, item.expire_at)
         return new_value
 
     def flush_all(self) -> None:
@@ -397,16 +407,19 @@ class KVStore:
             return None
         return item
 
-    def items_live(self) -> list[Item]:
-        """Key-sorted snapshot of the live items (anti-entropy's view).
+    def iter_live(self) -> Iterator[Item]:
+        """The live items in table order (anti-entropy's view).
 
         Dead (expired/flushed) entries are skipped but *not* reaped, so
-        the snapshot is read-only with respect to store state.
+        iterating is read-only with respect to store state; the store
+        must not be mutated while the iterator is open.
         """
-        return sorted(
-            (item for item in self.table if not self._is_dead(item)),
-            key=lambda item: item.key,
-        )
+        is_dead = self._is_dead
+        return (item for item in self.table if not is_dead(item))
+
+    def items_live(self) -> list[Item]:
+        """Key-sorted snapshot of :meth:`iter_live`."""
+        return sorted(self.iter_live(), key=attrgetter("key"))
 
     @property
     def live_bytes(self) -> int:

@@ -7,13 +7,18 @@ compact digests of their key ranges and copy the newest version of any
 key where they disagree.
 
 The model is Merkle-less but keeps the property that makes Merkle trees
-cheap: synchronized buckets are skipped without looking at their items.
-Each node's live keys are folded into ``buckets`` FNV-hashed buckets per
-replica group; only buckets whose (key, version) digests differ across
-the group are expanded into per-key comparison and repair.  Repairs per
-sweep are capped so a cold restarted node warms over several sweeps
-instead of one giant stall — the cap is the sweep's "instruction
-budget" in the cost model (docs/MODELING.md).
+cheap: synchronized buckets are never expanded or repaired.  Every sweep
+reads each live copy once to fold it into one of ``buckets``
+FNV-hashed buckets per replica group; only buckets whose (key, version)
+digests differ across the group are expanded into per-key comparison
+and repair.  Repairs per sweep are capped so a cold restarted node
+warms over several sweeps instead of one giant stall — the cap is the
+sweep's "instruction budget" in the cost model (docs/MODELING.md).
+
+A key's bucket and digest term depend only on the key and the ring's
+membership, so the sweeper memoises them per key until the ring's
+membership generation moves; the fold itself stays per sweep, because
+versions change between sweeps.
 
 :meth:`AntiEntropySweeper.install` schedules sweeps as recurring events
 on a :class:`~repro.sim.events.Simulator`, which is how the full-system
@@ -27,7 +32,13 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigurationError
 from repro.kvstore.hashing import fnv1a_32
 from repro.kvstore.items import Item
+from repro.replication.placement import MEMO_MAX_KEYS
 from repro.telemetry.metrics import MetricsRegistry, NULL_REGISTRY
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+#: Knuth's multiplicative-hash constant: spreads a key's 32-bit FNV hash
+#: over the 64-bit digest term.
+_FOLD_MULTIPLIER = 2_654_435_761
 
 
 @dataclass(frozen=True)
@@ -53,8 +64,9 @@ class AntiEntropySweeper:
     """Periodic digest comparison + repair across a replica group.
 
     ``coordinator`` is duck-typed: anything with ``stores`` (name ->
-    KVStore), ``live_nodes``, ``node_is_down``, and
-    ``placement.replicas_for`` works — both the client-side
+    KVStore), ``live_nodes`` and a ``placement``
+    (:class:`~repro.replication.placement.ReplicaPlacement`) works — both
+    the client-side
     :class:`~repro.replication.coordinator.ReplicationCoordinator` and
     the full-system DES's store fabric qualify.
     """
@@ -82,83 +94,148 @@ class AntiEntropySweeper:
         self._dirty_total = registry.counter(
             "replication_antientropy_dirty_buckets_total"
         )
+        # Per-key memo, valid for one ring generation: key -> its cell
+        # and digest term packed into one int, ``cell << 64 | h * K``
+        # (no tuple per key: the memo spans every key the stores held).
+        # A cell numbers a comparison unit, ``group index * buckets +
+        # bucket``; ``_groups`` lists the preferred lists by index.
+        self._codes: dict[bytes, int] = {}
+        self._groups: list[tuple[str, ...]] = []
+        self._group_index: dict[tuple[str, ...], int] = {}
+        self._generation: int | None = None
 
-    def _bucket_of(self, key: bytes) -> int:
-        return fnv1a_32(key) % self.buckets
+    def _learn(self, key: bytes) -> int:
+        """A memo miss: the key's packed cell and digest term.
+
+        Placement still answers through ``replicas_for``.
+        """
+        h = fnv1a_32(key)
+        group = self.coordinator.placement.replicas_for(key)
+        index = self._group_index.get(group)
+        if index is None:
+            index = self._group_index[group] = len(self._groups)
+            self._groups.append(group)
+        code = (index * self.buckets + h % self.buckets) << 64 | (
+            h * _FOLD_MULTIPLIER
+        )
+        if len(self._codes) < MEMO_MAX_KEYS:
+            self._codes[key] = code
+        return code
 
     def sweep(self) -> SweepReport:
         """One full pass: compare digests group-wise, repair to newest.
 
         The comparison unit is *(replica group, bucket)*: keys sharing a
         preferred list must be identical across that list's live
-        members, and a bucket whose order-independent (key, version)
-        digest matches on every live member is skipped without touching
-        its items — the Merkle-tree property, flattened to one level.
-        A live member holding nothing in a bucket digests to zero, so
-        "restarted cold" reads as every bucket dirty, as it should.
+        members.  Every live copy is read once to fold its bucket's
+        order-independent (key, version) digest; a bucket whose digest
+        matches on every live member is neither expanded nor repaired —
+        the Merkle-tree property, flattened to one level.  A live member
+        holding nothing in a bucket digests to zero, so "restarted cold"
+        reads as every bucket dirty, as it should.  Dirty buckets are
+        repaired in sorted (group, bucket) order, keys in sorted order.
         """
-        live = list(self.coordinator.live_nodes)
+        coordinator = self.coordinator
+        stores = coordinator.stores
+        generation = coordinator.placement.ring.generation
+        if generation != self._generation:
+            self._codes.clear()
+            self._groups.clear()
+            self._group_index.clear()
+            self._generation = generation
+        buckets = self.buckets
+        groups = self._groups
+        known = self._codes.get
+        # One read of every live store.  Per node: cell -> digest (summed
+        # here, compared modulo 2**64), and the node's copies with their
+        # cells, kept to expand the dirty cells.  Liveness does not
+        # change inside a sweep, so the live nodes are ``digests``'s keys.
+        digests: dict[str, dict[int, int]] = {}
+        copies: dict[str, tuple[list[int], list[Item]]] = {}
+        for node in coordinator.live_nodes:
+            digest = digests[node] = {}
+            cells, items = copies[node] = ([], [])
+            for item in stores[node].iter_live():
+                code = known(item.key)
+                if code is None:
+                    code = self._learn(item.key)
+                cell = code >> 64
+                if node not in groups[cell // buckets]:
+                    continue  # a leftover copy placement no longer maps here
+                digest[cell] = digest.get(cell, 0) + (code & _MASK64) + item.flags
+                cells.append(cell)
+                items.append(item)
+        scanned: set[int] = set().union(*digests.values())
+        members_of: dict[int, list[str]] = {}  # group index -> live members
+        dirty_cells: list[int] = []
+        for cell in scanned:
+            index = cell // buckets
+            members = members_of.get(index)
+            if members is None:
+                members = members_of[index] = [
+                    n for n in groups[index] if n in digests
+                ]
+            if len(members) < 2:
+                continue  # nobody to reconverge with
+            first = digests[members[0]].get(cell, 0) & _MASK64
+            for node in members[1:]:
+                if digests[node].get(cell, 0) & _MASK64 != first:
+                    dirty_cells.append(cell)
+                    break
+        dirty_cells.sort(key=lambda cell: (groups[cell // buckets], cell % buckets))
+        # node -> dirty cell -> the copies the node holds there.
+        dirty_set = set(dirty_cells)
+        contents: dict[str, dict[int, list[Item]]] = {}
+        for node, (cells, items) in copies.items():
+            held = contents[node] = {}
+            for cell, item in zip(cells, items):
+                if cell in dirty_set:
+                    listed = held.get(cell)
+                    if listed is None:
+                        held[cell] = [item]
+                    else:
+                        listed.append(item)
+
         repairs = 0
         compared = 0
+        dirty = 0
         truncated = False
         repairs_by_node: dict[str, int] = {}
         bytes_by_node: dict[str, int] = {}
-        group_of: dict[bytes, tuple[str, ...]] = {}
-        # (group, bucket) -> node -> digest / items held there.
-        digests: dict[tuple, dict[str, int]] = {}
-        contents: dict[tuple, dict[str, list[Item]]] = {}
-        for node in live:
-            for item in self.coordinator.stores[node].items_live():
-                group = group_of.get(item.key)
-                if group is None:
-                    group = self.coordinator.placement.replicas_for(item.key)
-                    group_of[item.key] = group
-                if node not in group:
-                    continue  # a leftover copy placement no longer maps here
-                cell = (group, self._bucket_of(item.key))
-                fold = (
-                    fnv1a_32(item.key) * 2_654_435_761 + item.flags
-                ) & 0xFFFFFFFFFFFFFFFF
-                per = digests.setdefault(cell, {})
-                per[node] = (per.get(node, 0) + fold) & 0xFFFFFFFFFFFFFFFF
-                contents.setdefault(cell, {}).setdefault(node, []).append(item)
-        scanned = len(digests)
-        dirty = 0
-        for cell in sorted(digests, key=lambda c: (c[0], c[1])):
-            group, _bucket = cell
-            members = [n for n in group if not self.coordinator.node_is_down(n)]
-            if len(members) < 2:
-                continue  # nobody to reconverge with
-            if len({digests[cell].get(n, 0) for n in members}) <= 1:
-                continue  # all live members agree on this bucket
+        # Per dirty cell: the newest copy of every key a live member
+        # holds, and which members (a bit each) already hold that
+        # version.  Ties go to the earlier member in preferred order.
+        newest: dict[bytes, Item] = {}
+        current: dict[bytes, int] = {}
+        for cell in dirty_cells:
             dirty += 1
-            self._dirty_total.inc()
-            # Newest version of every key any live member holds here.
-            newest: dict[bytes, Item] = {}
-            holders: dict[bytes, dict[str, int]] = {}
-            for node in members:
-                for item in contents[cell].get(node, ()):
-                    compared += 1
-                    holders.setdefault(item.key, {})[node] = item.flags
-                    best = newest.get(item.key)
+            members = members_of[cell // buckets]
+            newest.clear()
+            current.clear()
+            for position, node in enumerate(members):
+                bit = 1 << position
+                items = contents[node].get(cell, ())
+                compared += len(items)
+                for item in items:
+                    key = item.key
+                    best = newest.get(key)
                     if best is None or item.flags > best.flags:
-                        newest[item.key] = item
+                        newest[key] = item
+                        current[key] = bit
+                    elif item.flags == best.flags:
+                        current[key] |= bit
             for key in sorted(newest):
                 winner = newest[key]
-                for node in members:
-                    have = holders.get(key, {}).get(node)
-                    if have is not None and have >= winner.flags:
-                        continue
+                have = current[key]
+                for position, node in enumerate(members):
+                    if have >> position & 1:
+                        continue  # already holds the newest version
                     if repairs >= self.max_repairs_per_sweep:
                         truncated = True
                         break
-                    store = self.coordinator.stores[node]
-                    ttl = (
-                        max(winner.expire_at - store.now, 0.0)
-                        if winner.expire_at
-                        else 0.0
+                    stores[node].set_absolute(
+                        key, winner.value, winner.flags, winner.expire_at
                     )
-                    store.set(key, winner.value, flags=winner.flags, expire=ttl)
                     repairs += 1
                     repairs_by_node[node] = repairs_by_node.get(node, 0) + 1
                     bytes_by_node[node] = bytes_by_node.get(node, 0) + len(
@@ -172,8 +249,9 @@ class AntiEntropySweeper:
         self.total_repairs += repairs
         self._sweeps_total.inc()
         self._repairs_total.inc(repairs)
+        self._dirty_total.inc(dirty)
         return SweepReport(
-            buckets_scanned=scanned,
+            buckets_scanned=len(scanned),
             buckets_dirty=dirty,
             keys_compared=compared,
             repairs=repairs,

@@ -151,11 +151,11 @@ class ReplicationCoordinator:
         replayed = 0
         store = self.stores[name]
         for hint in self.hints.drain(name):
-            value, flags_version, expire = hint.payload
+            value, flags_version, expire_at = hint.payload
             existing = store.peek(hint.key)
             if existing is not None and existing.flags >= flags_version:
                 continue
-            if store.set(hint.key, value, flags=flags_version, expire=expire) is (
+            if store.set_absolute(hint.key, value, flags_version, expire_at) is (
                 StoreResult.STORED
             ):
                 replayed += 1
@@ -206,11 +206,14 @@ class ReplicationCoordinator:
         for node in replicas:
             if node in self._down:
                 if self.hinted_handoff:
+                    # The copy keeps the write's absolute expiry: a
+                    # replay at restart must not restart its TTL.
+                    expire_at = self.stores[node].absolute_expiry(expire)
                     if self.hints.park(
                         node,
                         key,
                         version,
-                        (value, version, expire),
+                        (value, version, expire_at),
                         trace_id=trace.request_id if trace is not None else None,
                     ):
                         hinted += 1
@@ -278,12 +281,8 @@ class ReplicationCoordinator:
             self._divergence_total.inc()
             healed_all = True
             for node in stale:
-                store = self.stores[node]
-                # Item.expire_at is absolute; set() wants a TTL.  Clocks
-                # advance in lockstep, so the remaining life transfers.
-                ttl = max(winner.expire_at - store.now, 0.0) if winner.expire_at else 0.0
-                result = store.set(
-                    key, winner.value, flags=winner.flags, expire=ttl
+                result = self.stores[node].set_absolute(
+                    key, winner.value, winner.flags, winner.expire_at
                 )
                 if result is StoreResult.STORED:
                     self.read_repairs += 1

@@ -8,7 +8,8 @@ per key, and :meth:`HintQueue.drain` hands them back in deterministic
 (version, key) order when the node is readmitted.
 
 The queue is transport-agnostic: the client-side coordinator parks the
-actual ``(value, flags, expire)`` tuple, while the full-system DES parks
+actual ``(value, flags, expire_at)`` tuple (the absolute expiry, so a
+replayed copy dies with its siblings), while the full-system DES parks
 just the value size it needs to regenerate the functional write.  A
 bounded queue models a real coordinator's hint buffer: beyond
 ``max_hints_per_node`` distinct keys, new hints for unseen keys are

@@ -11,16 +11,23 @@ too small (fewer stacks than replicas).
 Placement is a pure function of ring membership and the ``exclude`` set,
 so re-placement when nodes crash or restart is deterministic: excluding
 a down node simply extends the successor walk past it, and readmitting
-it restores the exact original preferred list.
+it restores the exact original preferred list.  The same purity lets a
+lookup without ``exclude`` answer from a per-key memo, dropped whenever
+the ring's membership generation moves.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Container, Iterable
 
 from repro.errors import ConfigurationError
 from repro.kvstore.consistent_hash import ConsistentHashRing
 from repro.replication.config import QuorumConfig
+
+#: Most keys a per-key placement memo holds.  Insertion stops at the cap
+#: (as ``hashing._DIGEST_CACHE_MAX`` does for key digests), so a
+#: key stream without repeats cannot grow a memo without bound.
+MEMO_MAX_KEYS = 1 << 18
 
 
 def default_stack_of(node: str) -> str:
@@ -44,6 +51,11 @@ class ReplicaPlacement:
         self.ring = ring
         self.n = n
         self.stack_of = stack_of
+        # key -> preferred list, valid for one ring generation; equal
+        # lists share one interned tuple.
+        self._memo: dict[bytes, tuple[str, ...]] = {}
+        self._groups: dict[tuple[str, ...], tuple[str, ...]] = {}
+        self._generation = ring.generation
 
     @classmethod
     def for_quorum(
@@ -65,9 +77,24 @@ class ReplicaPlacement:
         stack-skip rule keeps replica stacks distinct while possible;
         when fewer distinct stacks than replicas exist, the remainder is
         filled with distinct nodes in walk order (never the same node
-        twice).
+        twice).  Without ``exclude`` the answer comes from a per-key
+        memo that a ring membership change invalidates.
         """
-        excluded = set(exclude)
+        if exclude:
+            return self._walk(key, set(exclude))
+        if self.ring.generation != self._generation:
+            self._memo.clear()
+            self._groups.clear()
+            self._generation = self.ring.generation
+        group = self._memo.get(key)
+        if group is None:
+            group = self._walk(key, ())
+            group = self._groups.setdefault(group, group)
+            if len(self._memo) < MEMO_MAX_KEYS:
+                self._memo[key] = group
+        return group
+
+    def _walk(self, key: bytes, excluded: Container[str]) -> tuple[str, ...]:
         chosen: list[str] = []
         used_stacks: set[str] = set()
         stack_conflicts: list[str] = []

@@ -35,9 +35,8 @@ class QuorumPath:
 
     It doubles as the coordinator-shaped view of the stack's per-core
     stores that :class:`~repro.replication.antientropy.AntiEntropySweeper`
-    is duck-typed against (``stores``, ``live_nodes``, ``node_is_down``,
-    ``placement``), keyed by TCP port and reading the run's live crash
-    state.
+    is duck-typed against (``stores``, ``live_nodes``, ``placement``),
+    keyed by TCP port and reading the run's live crash state.
     """
 
     def __init__(self, pipe: "RequestPipeline", repl: ReplicationConfig):
@@ -70,10 +69,10 @@ class QuorumPath:
 
     @property
     def live_nodes(self) -> list[str]:
-        return sorted(port for port in self.stores if not self.node_is_down(port))
-
-    def node_is_down(self, port: str) -> bool:
-        return int(port) - self.base_port in self.pipe.down_cores
+        down = self.pipe.down_cores
+        return sorted(
+            port for port in self.stores if int(port) - self.base_port not in down
+        )
 
     def install_antientropy(self) -> None:
         """Schedule the recurring anti-entropy sweep, if configured."""

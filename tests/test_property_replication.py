@@ -89,6 +89,44 @@ class TestPlacementProperties:
             after = placement.replicas_for(key)
             assert set(after) <= set(before[key]) | {newcomer}
 
+    @given(
+        nodes=stacked_nodes,
+        key_list=replica_keys,
+        n=replica_counts,
+        churn=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=9),
+                st.integers(min_value=0, max_value=3),
+            ),
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_lookups_after_churn_match_a_fresh_ring(self, nodes, key_list, n, churn):
+        """The per-key memo never answers from an older membership:
+        after any add/remove sequence (with lookups between the steps),
+        a placement agrees with a fresh one over a fresh ring of the
+        same members, with and without ``exclude``."""
+        ring = ConsistentHashRing(nodes, vnodes=32)
+        placement = ReplicaPlacement(ring, n=n)
+        for stack, core in churn:
+            for key in key_list:
+                placement.replicas_for(key)
+            node = f"stack{stack}:core{core}"
+            if node not in ring.nodes:
+                ring.add_node(node)
+            elif len(ring) > 1:
+                ring.remove_node(node)
+        fresh = ReplicaPlacement(
+            ConsistentHashRing(sorted(ring.nodes), vnodes=32), n=n
+        )
+        excluded = {sorted(ring.nodes)[0]}
+        for key in key_list:
+            assert placement.replicas_for(key) == fresh.replicas_for(key)
+            assert placement.replicas_for(key, exclude=excluded) == (
+                fresh.replicas_for(key, exclude=excluded)
+            )
+
     @given(nodes=stacked_nodes, key_list=replica_keys, n=replica_counts)
     @settings(max_examples=100, deadline=None)
     def test_no_shared_stack_when_stacks_suffice(self, nodes, key_list, n):

@@ -308,6 +308,49 @@ class TestAntiEntropy:
         assert c.stores[stale_node].peek(b"k").value == b"new"
 
 
+class TestReplicaCopiesKeepTheirExpiry:
+    """A copy written by anti-entropy, read repair or hint replay dies
+    when the original does."""
+
+    #: Beyond 30 days: memcached reads a TTL this large as an absolute
+    #: timestamp.
+    FAR = 5e6
+
+    def put_far(self, c, key):
+        c.advance_time(1e6)
+        c.put(key, b"v", expire=self.FAR)
+        for node in c.replicas_for(key):
+            assert c.stores[node].peek(key).expire_at == self.FAR
+
+    def test_antientropy_repair(self):
+        c = make_coordinator()
+        self.put_far(c, b"k")
+        lost = c.replicas_for(b"k")[1]
+        c.stores[lost].delete(b"k")
+        AntiEntropySweeper(c, buckets=4).sweep()
+        assert c.stores[lost].peek(b"k").expire_at == self.FAR
+
+    def test_read_repair(self):
+        c = make_coordinator(n=3, r=3, w=2)
+        self.put_far(c, b"k")
+        lost = c.replicas_for(b"k")[2]
+        c.stores[lost].delete(b"k")
+        assert c.get(b"k") is not None and c.read_repairs == 1
+        assert c.stores[lost].peek(b"k").expire_at == self.FAR
+
+    def test_hint_replay(self):
+        c = make_coordinator()
+        victim = c.replicas_for(b"k")[0]
+        c.crash_node(victim)
+        c.put(b"k", b"v", expire=100)
+        c.advance_time(60)
+        assert c.restart_node(victim) == 1
+        assert c.stores[victim].peek(b"k").expire_at == 100
+        c.advance_time(50)
+        for node in c.replicas_for(b"k"):
+            assert c.stores[node].peek(b"k") is None
+
+
 class TestResilientClientQuorum:
     NODES = ["s0:c0", "s1:c0", "s2:c0", "s3:c0"]
 
@@ -362,6 +405,33 @@ class TestResilientClientQuorum:
         assert client.delete(b"k")
         for node in self.NODES:
             assert client._stores[node].peek(b"k") is None
+
+    def test_placement_follows_failover_and_readmission(self):
+        """Fail-over removes the dead node from the ring and readmission
+        adds it back; the placement memo warmed before either must not
+        answer for the old membership."""
+        network = FaultyNetwork(seed=7)
+        client = self.make(quorum=QuorumConfig(3, 2, 2), network=network)
+        keys = [b"key-%d" % i for i in range(40)]
+        before = {key: client.placement.replicas_for(key) for key in keys}
+        victim = client.node_for(keys[0])
+        network.crash(victim)
+        for _ in range(client.policy.failover_after):
+            client.get(keys[0])
+        assert victim not in client.ring.nodes
+        fresh = ReplicaPlacement(
+            ConsistentHashRing(sorted(client.ring.nodes), vnodes=client.ring.vnodes),
+            n=3,
+        )
+        for key in keys:
+            assert client.placement.replicas_for(key) == fresh.replicas_for(key)
+        assert any(victim in group for group in before.values())
+        network.restart(victim)
+        client.clock_s += client.policy.health_check_interval_s
+        client.get(keys[0])  # the health check readmits the node
+        assert victim in client.ring.nodes
+        for key in keys:
+            assert client.placement.replicas_for(key) == before[key]
 
     def test_quorum_larger_than_cluster_rejected(self):
         with pytest.raises(ConfigurationError):
