@@ -1,6 +1,9 @@
 # Convenience targets for the repro library.
 
 PYTHON ?= python
+# Import the package from the checkout, as CI does, so that no target
+# needs `make install` first.
+export PYTHONPATH := src
 
 .PHONY: install test bench report examples telemetry-demo clean
 
@@ -23,7 +26,7 @@ examples:
 	done
 
 telemetry-demo:
-	PYTHONPATH=src $(PYTHON) -m repro telemetry --cores 8 --duration 0.2 \
+	$(PYTHON) -m repro telemetry --cores 8 --duration 0.2 \
 		--out benchmarks/out
 
 clean:

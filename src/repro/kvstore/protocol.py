@@ -15,6 +15,10 @@ from repro.errors import ProtocolError
 from repro.kvstore.batching import MAX_BATCH_OPS
 
 _CRLF = b"\r\n"
+#: Bytes a key may hold: printable ASCII without space (33..126).
+_KEY_BYTES = bytes(range(33, 127))
+#: memcached's flags are an unsigned 32-bit client opaque.
+_MAX_FLAGS = (1 << 32) - 1
 
 STORAGE_VERBS = frozenset({"set", "add", "replace", "append", "prepend", "cas"})
 RETRIEVAL_VERBS = frozenset({"get", "gets"})
@@ -59,6 +63,8 @@ class Response:
     # each value: (key, flags, data, cas-or-None)
 
 
+# The request parsers test and raise inline instead of calling this, so
+# that a message is formatted only when a request is rejected.
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ProtocolError(message)
@@ -71,12 +77,18 @@ def _parse_int(token: bytes, what: str) -> int:
         raise ProtocolError(f"bad {what}: {token!r}") from None
 
 
+def _parse_flags(token: bytes) -> int:
+    flags = _parse_int(token, "flags")
+    if not 0 <= flags <= _MAX_FLAGS:
+        raise ProtocolError(f"flags out of range: {flags}")
+    return flags
+
+
 def _check_key(key: bytes) -> bytes:
-    _require(0 < len(key) <= 250, f"bad key length {len(key)}")
-    _require(
-        all(33 <= b <= 126 for b in key),
-        "keys must be printable ASCII without spaces",
-    )
+    if not 0 < len(key) <= 250:
+        raise ProtocolError(f"bad key length {len(key)}")
+    if key.translate(None, _KEY_BYTES):
+        raise ProtocolError("keys must be printable ASCII without spaces")
     return key
 
 
@@ -90,34 +102,41 @@ def parse_command(blob: bytes) -> tuple[Command, bytes]:
         ProtocolError: on malformed input or an incomplete data block.
     """
     end = blob.find(_CRLF)
-    _require(end >= 0, "no CRLF-terminated command line")
+    if end < 0:
+        raise ProtocolError("no CRLF-terminated command line")
     line = blob[:end]
     rest = blob[end + 2 :]
     parts = line.split()
-    _require(bool(parts), "empty command line")
+    if not parts:
+        raise ProtocolError("empty command line")
     verb = parts[0].decode("ascii", "replace").lower()
 
     if verb in STORAGE_VERBS:
         return _parse_storage(verb, parts, rest)
     if verb in RETRIEVAL_VERBS:
-        _require(len(parts) >= 2, f"{verb} needs at least one key")
+        if len(parts) < 2:
+            raise ProtocolError(f"{verb} needs at least one key")
         keys = tuple(_check_key(k) for k in parts[1:])
         return Command(verb=verb, keys=keys), rest
     if verb == "delete":
-        _require(len(parts) in (2, 3), "delete <key> [noreply]")
+        if len(parts) not in (2, 3):
+            raise ProtocolError("delete <key> [noreply]")
         noreply = len(parts) == 3 and parts[2] == b"noreply"
         return Command(verb=verb, keys=(_check_key(parts[1]),), noreply=noreply), rest
     if verb in ("incr", "decr"):
-        _require(len(parts) in (3, 4), f"{verb} <key> <delta> [noreply]")
+        if len(parts) not in (3, 4):
+            raise ProtocolError(f"{verb} <key> <delta> [noreply]")
         delta = _parse_int(parts[2], "delta")
-        _require(delta >= 0, "delta must be unsigned")
+        if delta < 0:
+            raise ProtocolError("delta must be unsigned")
         noreply = len(parts) == 4 and parts[3] == b"noreply"
         return (
             Command(verb=verb, keys=(_check_key(parts[1]),), delta=delta, noreply=noreply),
             rest,
         )
     if verb == "touch":
-        _require(len(parts) in (3, 4), "touch <key> <exptime> [noreply]")
+        if len(parts) not in (3, 4):
+            raise ProtocolError("touch <key> <exptime> [noreply]")
         exptime = _parse_int(parts[2], "exptime")
         noreply = len(parts) == 4 and parts[3] == b"noreply"
         return (
@@ -128,11 +147,13 @@ def parse_command(blob: bytes) -> tuple[Command, bytes]:
         )
     if verb == "stats":
         # "stats" takes an optional topic ("slabs", "items", ...).
-        _require(len(parts) <= 2, "stats [topic]")
+        if len(parts) > 2:
+            raise ProtocolError("stats [topic]")
         keys = (_check_key(parts[1]),) if len(parts) == 2 else ()
         return Command(verb=verb, keys=keys), rest
     if verb == "verbosity":
-        _require(len(parts) in (2, 3), "verbosity <level> [noreply]")
+        if len(parts) not in (2, 3):
+            raise ProtocolError("verbosity <level> [noreply]")
         level = _parse_int(parts[1], "verbosity level")
         noreply = len(parts) == 3 and parts[2] == b"noreply"
         return Command(verb=verb, delta=level, noreply=noreply), rest
@@ -151,27 +172,31 @@ def _parse_mset(parts: list[bytes], rest: bytes) -> tuple[Command, bytes]:
     a batched client sees byte-identical per-op outcomes to n serial
     sets.  A zero-op frame is valid and produces an empty response.
     """
-    _require(len(parts) == 2, "mset <count>")
+    if len(parts) != 2:
+        raise ProtocolError("mset <count>")
     count = _parse_int(parts[1], "mset count")
-    _require(0 <= count <= MAX_BATCH_OPS, f"mset count out of range: {count}")
+    if not 0 <= count <= MAX_BATCH_OPS:
+        raise ProtocolError(f"mset count out of range: {count}")
     subcommands = []
     for _ in range(count):
         end = rest.find(_CRLF)
-        _require(end >= 0, "incomplete data block")
+        if end < 0:
+            raise ProtocolError("incomplete data block")
         sub_parts = rest[:end].split()
-        _require(len(sub_parts) == 4, "mset sub-block: <key> <flags> <exptime> <bytes>")
+        if len(sub_parts) != 4:
+            raise ProtocolError("mset sub-block: <key> <flags> <exptime> <bytes>")
         key = _check_key(sub_parts[0])
-        flags = _parse_int(sub_parts[1], "flags")
+        flags = _parse_flags(sub_parts[1])
         exptime = _parse_int(sub_parts[2], "exptime")
         length = _parse_int(sub_parts[3], "bytes")
-        _require(length >= 0, "negative data length")
+        if length < 0:
+            raise ProtocolError("negative data length")
         body_start = end + 2
-        _require(len(rest) >= body_start + length + 2, "incomplete data block")
+        if len(rest) < body_start + length + 2:
+            raise ProtocolError("incomplete data block")
         data = rest[body_start : body_start + length]
-        _require(
-            rest[body_start + length : body_start + length + 2] == _CRLF,
-            "data block not CRLF-terminated",
-        )
+        if rest[body_start + length : body_start + length + 2] != _CRLF:
+            raise ProtocolError("data block not CRLF-terminated")
         rest = rest[body_start + length + 2 :]
         subcommands.append(
             Command(
@@ -187,22 +212,25 @@ def _parse_mset(parts: list[bytes], rest: bytes) -> tuple[Command, bytes]:
 
 def _parse_storage(verb: str, parts: list[bytes], rest: bytes) -> tuple[Command, bytes]:
     base_args = 5 if verb != "cas" else 6
-    _require(
-        len(parts) in (base_args, base_args + 1),
-        f"{verb} <key> <flags> <exptime> <bytes>"
-        + (" <cas>" if verb == "cas" else "")
-        + " [noreply]",
-    )
+    if len(parts) not in (base_args, base_args + 1):
+        raise ProtocolError(
+            f"{verb} <key> <flags> <exptime> <bytes>"
+            + (" <cas>" if verb == "cas" else "")
+            + " [noreply]"
+        )
     key = _check_key(parts[1])
-    flags = _parse_int(parts[2], "flags")
+    flags = _parse_flags(parts[2])
     exptime = _parse_int(parts[3], "exptime")
     length = _parse_int(parts[4], "bytes")
-    _require(length >= 0, "negative data length")
+    if length < 0:
+        raise ProtocolError("negative data length")
     cas = _parse_int(parts[5], "cas id") if verb == "cas" else 0
     noreply = len(parts) == base_args + 1 and parts[base_args] == b"noreply"
-    _require(len(rest) >= length + 2, "incomplete data block")
+    if len(rest) < length + 2:
+        raise ProtocolError("incomplete data block")
     data = rest[:length]
-    _require(rest[length : length + 2] == _CRLF, "data block not CRLF-terminated")
+    if rest[length : length + 2] != _CRLF:
+        raise ProtocolError("data block not CRLF-terminated")
     remainder = rest[length + 2 :]
     return (
         Command(

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.latency_model import RequestTiming
 from repro.sim.fidelity import (
     FidelityPolicy,
     allocate_proportional,
@@ -89,7 +88,6 @@ class FluidFold:
         self.key_core: dict[bytes, int] = {}
         self.payloads: dict[int, bytes] = {}
         self.digits: dict[int, int] = {}
-        self.timings: dict[tuple[str, int], RequestTiming] = {}
         step_limit = fidelity.max_fluid_step_s
         if pipe.timeseries is not None:
             step_limit = min(step_limit, pipe.timeseries.interval_s)
@@ -362,7 +360,6 @@ class FluidFold:
         pipe = self.pipe
         results = pipe.results
         meter = pipe.energy_meter
-        timings = self.timings
         counted_n = n_req - sum(late_counts.values())
         busy_s = 0.0
         comp_hash = comp_mc = comp_net = 0.0
@@ -371,10 +368,7 @@ class FluidFold:
         for op, n in op_counts.items():
             served = op >> 1
             verb = "GET" if op & 1 else "PUT"
-            timing = timings.get((verb, served))
-            if timing is None:
-                timing = pipe.model.request_timing(verb, served)
-                timings[(verb, served)] = timing
+            timing = pipe.model.request_timing(verb, served)
             busy_s += n * timing.total_s
             n_counted = n - late_counts.get(op, 0)
             if n_counted:

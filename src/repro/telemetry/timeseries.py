@@ -56,7 +56,10 @@ class WindowedSeries:
     ``{window_index: count}`` maps it replaces.
     """
 
-    __slots__ = ("name", "interval_s", "max_windows", "kind", "_values", "evicted")
+    __slots__ = (
+        "name", "interval_s", "max_windows", "kind", "_values", "evicted",
+        "_sum", "_newest",
+    )
 
     _FOLDS: dict[str, Callable[[float, float], float]] = {
         "sum": lambda old, new: old + new,
@@ -83,6 +86,10 @@ class WindowedSeries:
         self.kind = kind
         self._values: dict[int, float] = {}
         self.evicted = 0
+        self._sum = kind == "sum"
+        # Newest window index observed; the retention floor of a bounded
+        # series follows it.
+        self._newest: int | None = None
 
     # --- window geometry ---------------------------------------------------------
 
@@ -98,25 +105,48 @@ class WindowedSeries:
 
     def observe(self, t_s: float, value: float = 1.0) -> None:
         """Fold one observation at time ``t_s`` into its window."""
-        self.observe_index(self.index_of(t_s), value)
+        # Hot path (SLO windows, energy activity): a sum into an occupied
+        # window folds here; anything else takes ``observe_index``.
+        index = int(t_s / self.interval_s)
+        values = self._values
+        old = values.get(index)
+        if old is not None and self._sum:
+            values[index] = old + value
+        else:
+            self.observe_index(index, value)
 
     def observe_index(self, index: int, value: float = 1.0) -> None:
         """Fold one observation directly into window ``index``."""
-        old = self._values.get(index)
+        values = self._values
+        old = values.get(index)
         if old is None:
-            self._values[index] = value
-            self._evict(index)
+            if self.max_windows is None:
+                values[index] = value
+            else:
+                self._insert_bounded(index, value)
+        elif self._sum:
+            values[index] = old + value
         else:
-            self._values[index] = self._FOLDS[self.kind](old, value)
+            values[index] = self._FOLDS[self.kind](old, value)
 
-    def _evict(self, newest: int) -> None:
-        """Ring bound: drop windows older than the retention horizon."""
-        if self.max_windows is None or len(self._values) <= self.max_windows:
-            return
+    def _insert_bounded(self, index: int, value: float) -> None:
+        """Ring bound: open window ``index`` and drop windows older than
+        the retention horizon of the newest index seen.  A late
+        observation already below the horizon is dropped (and counted)."""
+        newest = self._newest
+        if newest is None or index > newest:
+            newest = self._newest = index
         floor = newest - self.max_windows + 1
-        stale = [i for i in self._values if i < floor]
-        for index in stale:
-            del self._values[index]
+        if index < floor:
+            self.evicted += 1
+            return
+        values = self._values
+        values[index] = value
+        if len(values) <= self.max_windows:
+            return
+        stale = [i for i in values if i < floor]
+        for i in stale:
+            del values[i]
             self.evicted += 1
 
     # --- dict-style views (drop-in for {index: value} maps) ----------------------
@@ -186,6 +216,7 @@ class WindowedSeries:
             self.name, self.interval_s, max_windows=self.max_windows, kind=self.kind
         )
         merged._values = dict(self._values)
+        merged._newest = self._newest
         for index, value in other.items():
             merged.observe_index(index, value)
         return merged

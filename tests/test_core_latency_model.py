@@ -1,11 +1,15 @@
 """Tests for the request-latency model: anchors, monotonicity, shape."""
 
+import dataclasses
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import LatencyModel, dram_spec, flash_spec
-from repro.core.latency_model import MemorySpec
+from repro.core import latency_model
+from repro.core.latency_model import MemorySpec, RequestTiming
 from repro.cpu import CORTEX_A7, CORTEX_A15_1GHZ
 from repro.errors import ConfigurationError
 from repro.units import GB, NS, US
@@ -181,3 +185,110 @@ class TestValidation:
     def test_empty_sweep_rejected(self):
         with pytest.raises(ConfigurationError):
             mercury_model().max_memory_bandwidth("GET", ())
+
+
+def timing_grid():
+    """(verb, value_bytes, key_bytes, transport) over the memo's key space."""
+    sizes = (0, 1, 64, 1448, 65536, 1 << 20)
+    for verb, size, key_bytes in itertools.product(
+        ("GET", "PUT", "get", "put"), sizes, (None, 1, 16, 250)
+    ):
+        for transport in ("tcp", "udp") if verb.upper() == "GET" else ("tcp",):
+            yield verb, size, key_bytes, transport
+
+
+def parent_tiered(model, verb, value_bytes, flash_service_s, key_bytes=None):
+    """``request_timing_tiered`` as computed before it was memoised."""
+    base = model.request_timing(verb, value_bytes, key_bytes=key_bytes)
+    keylen = model.cal.default_key_bytes if key_bytes is None else key_bytes
+    fixed_stall, value_stall = model._data_stall(verb, value_bytes, keylen)
+    return RequestTiming(
+        verb=base.verb,
+        value_bytes=base.value_bytes,
+        hash_s=base.hash_s,
+        memcached_s=base.memcached_s - fixed_stall + flash_service_s,
+        network_s=base.network_s - value_stall,
+    )
+
+
+def same_fields(a: RequestTiming, b: RequestTiming) -> bool:
+    return dataclasses.astuple(a) == dataclasses.astuple(b)
+
+
+class TestTimingMemo:
+    """``request_timing`` answers repeat shapes from a per-model memo."""
+
+    @pytest.mark.parametrize("make", [mercury_model, iridium_model])
+    def test_memo_answers_equal_a_fresh_model(self, make):
+        model = make()
+        for verb, size, key_bytes, transport in timing_grid():
+            fresh = make().request_timing(verb, size, key_bytes, transport)
+            for _ in range(2):
+                answer = model.request_timing(verb, size, key_bytes, transport)
+                assert same_fields(answer, fresh), (verb, size, key_bytes, transport)
+
+    def test_invalid_calls_raise_every_time_and_are_not_stored(self):
+        model = mercury_model()
+        model.request_timing("GET", 64)
+        stored = len(model._timings)
+        for _ in range(3):
+            with pytest.raises(ConfigurationError):
+                model.request_timing("DEL", 64)
+            with pytest.raises(ConfigurationError):
+                model.request_timing("PUT", 64, transport="udp")
+            with pytest.raises(ConfigurationError):
+                model.request_timing("GET", -1)
+        assert len(model._timings) == stored
+
+    def test_tiered_equals_the_parent_expression(self):
+        model = iridium_model()
+        for verb, size, key_bytes in itertools.product(
+            ("GET", "PUT"), (0, 64, 1448, 1 << 20), (None, 16, 250)
+        ):
+            for service in (0.0, 1e-9, 3.7e-6, 2e-4, 0.1):
+                expected = parent_tiered(
+                    iridium_model(), verb, size, service, key_bytes
+                )
+                for _ in range(2):
+                    answer = model.request_timing_tiered(
+                        verb, size, service, key_bytes=key_bytes
+                    )
+                    assert same_fields(answer, expected)
+
+    def test_tiered_verb_is_case_insensitive(self):
+        # The calibrated stalls subtracted are those of the upper-cased
+        # verb, as in request_timing (a lower-case GET once subtracted
+        # the PUT stalls and went negative).
+        model = iridium_model()
+        for verb in ("GET", "PUT"):
+            upper = model.request_timing_tiered(verb, 64, 3e-6)
+            lower = model.request_timing_tiered(verb.lower(), 64, 3e-6)
+            assert same_fields(lower, upper)
+            assert lower.memcached_s > 0 and lower.network_s > 0
+
+    def test_tiered_invalid_calls_raise_every_time(self):
+        model = iridium_model()
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                model.request_timing_tiered("GET", 64, -1e-6)
+            with pytest.raises(ConfigurationError):
+                model.request_timing_tiered("DEL", 64, 1e-6)
+            with pytest.raises(ConfigurationError):
+                mercury_model().request_timing_tiered("GET", 64, 1e-6)
+
+    def test_memo_stops_growing_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(latency_model, "TIMING_MEMO_MAX", 3)
+        model = iridium_model()
+        sizes = range(0, 800, 100)
+        for _ in range(2):
+            for size in sizes:
+                assert same_fields(
+                    model.request_timing("GET", size),
+                    iridium_model().request_timing("GET", size),
+                )
+                assert same_fields(
+                    model.request_timing_tiered("PUT", size, 5e-6),
+                    parent_tiered(iridium_model(), "PUT", size, 5e-6),
+                )
+        assert len(model._timings) == 3
+        assert len(model._tiered_parts) == 3

@@ -101,6 +101,27 @@ class TestParseErrors:
         with pytest.raises(ProtocolError):
             parse_command(blob)
 
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            b"set k -1 0 1\r\nx\r\n",
+            b"set k 4294967296 0 1\r\nx\r\n",
+            b"add k 99999999999 0 1\r\nx\r\n",
+            b"cas k -1 0 1 7\r\nx\r\n",
+            b"mset 2\r\na 0 0 1\r\nx\r\nb -3 0 1\r\ny\r\n",
+        ],
+    )
+    def test_flags_outside_unsigned_32_bit_raise(self, blob):
+        with pytest.raises(ProtocolError, match="flags out of range"):
+            parse_command(blob)
+
+    @pytest.mark.parametrize("flags", [0, 1, 65535, 65536, (1 << 32) - 1])
+    def test_flags_inside_unsigned_32_bit_parse(self, flags):
+        cmd, _ = parse_command(b"set k %d 0 1\r\nx\r\n" % flags)
+        assert cmd.flags == flags
+        cmd, _ = parse_command(b"mset 1\r\nk %d 0 1\r\nx\r\n" % flags)
+        assert cmd.subcommands[0].flags == flags
+
     def test_command_key_accessor_requires_keys(self):
         with pytest.raises(ProtocolError):
             Command(verb="stats").key

@@ -221,6 +221,28 @@ class TestErrors:
         reply = conn.feed(b"set k 0 0 1\r\nx\r\nnonsense!\r\nget k\r\n")
         assert reply == b"STORED\r\nERROR\r\nVALUE k 0 1\r\nx\r\nEND\r\n"
 
+    @pytest.mark.parametrize(
+        "wire",
+        [
+            b"set k -1 0 1\r\nx\r\n",
+            b"set k 99999999999 0 1\r\nx\r\n",
+        ],
+    )
+    def test_out_of_range_flags_store_nothing(self, wire):
+        server = make_server()
+        conn = server.connect()
+        # Like any malformed storage line (``set k abc 0 1``): the
+        # header and then the orphaned data line are each an ERROR.
+        assert conn.feed(wire) == b"ERROR\r\nERROR\r\n"
+        assert conn.feed(b"get k\r\n") == b"END\r\n"
+
+    def test_out_of_range_mset_flags_store_nothing(self):
+        server = make_server()
+        conn = server.connect()
+        reply = conn.feed(b"mset 2\r\na 0 0 1\r\nx\r\nb -3 0 1\r\ny\r\n")
+        assert b"STORED" not in reply
+        assert conn.feed(b"get a b\r\n") == b"END\r\n"
+
     def test_connection_stats_track_traffic(self):
         server = make_server()
         conn = server.connect()

@@ -64,6 +64,37 @@ class TestWindowedSeries:
         assert list(series) == [3, 4, 5]
         assert series.evicted == 3
 
+    def test_ring_bound_holds_for_late_observations(self):
+        series = WindowedSeries("x", 1.0, max_windows=2)
+        for t in (5.5, 6.5, 1.5, 0.5):
+            series.observe(t)
+        # The floor follows the newest window seen, so windows that
+        # arrive below it are dropped and counted.
+        assert list(series) == [5, 6]
+        assert series.evicted == 2
+        series.observe(6.7)
+        assert series.items() == [(5, 1.0), (6, 2.0)]
+
+    def test_late_observation_inside_horizon_is_kept(self):
+        series = WindowedSeries("x", 1.0, max_windows=3)
+        for index in (4, 2, 3):
+            series.observe_index(index)
+        assert list(series) == [2, 3, 4]
+        assert series.evicted == 0
+        series.observe_index(5)
+        assert list(series) == [3, 4, 5]
+        assert series.evicted == 1
+
+    def test_merge_keeps_the_retention_floor(self):
+        a = WindowedSeries("a", 1.0, max_windows=2)
+        b = WindowedSeries("a", 1.0, max_windows=2)
+        a.observe_index(9)
+        a.observe_index(10)
+        b.observe_index(1)
+        merged = a.merge(b)
+        assert merged.items() == [(9, 1.0), (10, 1.0)]
+        assert merged.evicted == 1
+
     def test_timeline_and_sum_over(self):
         series = WindowedSeries("t", 0.5)
         series.observe(0.2, 1.0)
