@@ -3,21 +3,35 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.kvstore.client import MemcachedClient
+from repro.kvstore.client import FaultyNetwork, MemcachedClient, ResilientClient
+from repro.replication.config import QuorumConfig
 from repro.units import MB
 
 
-def make_client(protocol: str, nodes: int = 4) -> MemcachedClient:
-    return MemcachedClient(
+def make_client(
+    protocol: str, nodes: int = 4, cls: type[MemcachedClient] = MemcachedClient
+) -> MemcachedClient:
+    return cls(
         node_names=[f"mc{i}" for i in range(nodes)],
         memory_per_node_bytes=4 * MB,
         protocol=protocol,
     )
 
 
-@pytest.fixture(params=["ascii", "binary"])
+#: The plain client and the resilient one on each protocol; the
+#: resilient client runs every verb through its retry loop.
+CLIENTS = {
+    "ascii": (MemcachedClient, "ascii"),
+    "binary": (MemcachedClient, "binary"),
+    "resilient-ascii": (ResilientClient, "ascii"),
+    "resilient-binary": (ResilientClient, "binary"),
+}
+
+
+@pytest.fixture(params=list(CLIENTS))
 def client(request) -> MemcachedClient:
-    return make_client(request.param)
+    cls, protocol = CLIENTS[request.param]
+    return make_client(protocol, cls=cls)
 
 
 class TestCrudBothProtocols:
@@ -76,6 +90,15 @@ class TestCrudBothProtocols:
         client.get(b"ghost")
         assert client.hit_rate() == pytest.approx(0.5)
 
+    def test_get_many_skips_misses(self, client):
+        keys = [b"key-%d" % i for i in range(12)]
+        for key in keys:
+            client.set(key, b"v-" + key)
+        results = client.get_many(keys + [b"ghost"])
+        assert {k: r.value for k, r in results.items()} == {
+            k: b"v-" + k for k in keys
+        }
+
 
 class TestSharding:
     def test_keys_spread_over_nodes(self):
@@ -117,3 +140,56 @@ class TestValidation:
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ConfigurationError):
             MemcachedClient(["a"], 4 * MB, protocol="grpc")
+
+
+@pytest.mark.parametrize("protocol", ["ascii", "binary"])
+class TestResilientClientFaults:
+    NODES = ["s0:c0", "s1:c0", "s2:c0", "s3:c0"]
+
+    def make(self, protocol: str, **kwargs) -> ResilientClient:
+        return ResilientClient(
+            list(self.NODES), 4 * MB, protocol=protocol,
+            network=FaultyNetwork(seed=7), **kwargs,
+        )
+
+    def test_flush_all_skips_a_crashed_node(self, protocol):
+        client = self.make(protocol)
+        keys = [b"key-%d" % i for i in range(40)]
+        for key in keys:
+            assert client.set(key, b"v")
+        victim = client.node_for(keys[0])
+        client.network.crash(victim)
+        client.flush_all()
+        assert client.timeouts == 1
+        assert victim in client.ring.nodes  # one timeout: no failover yet
+        for key in keys:
+            owner = client.node_for(key)
+            held = client._stores[owner].peek(key) is not None
+            assert held == (owner == victim)
+
+    def test_add_fails_over_as_set_does(self, protocol):
+        adder, setter = self.make(protocol), self.make(protocol)
+        victim = adder.node_for(b"k")
+        for client in (adder, setter):
+            client.network.crash(victim)
+        assert adder.add(b"k", b"v")
+        assert setter.set(b"k", b"v")
+        for client in (adder, setter):
+            assert victim not in client.ring.nodes
+            assert client.failovers == 1 and client.giveups == 0
+            owner = client.node_for(b"k")
+            assert client._stores[owner].peek(b"k").value == b"v"
+        assert (adder.timeouts, adder.retries, adder.clock_s) == (
+            setter.timeouts, setter.retries, setter.clock_s
+        )
+        assert adder.node_for(b"k") == setter.node_for(b"k")
+
+    def test_quorum_delete_clears_every_replica(self, protocol):
+        client = self.make(protocol, quorum=QuorumConfig(3, 2, 2))
+        assert client.set(b"k", b"v")
+        replicas = client.placement.replicas_for(b"k")
+        assert len(replicas) == 3
+        assert all(client._stores[node].peek(b"k") for node in replicas)
+        assert client.delete(b"k")
+        assert all(client._stores[node].peek(b"k") is None for node in self.NODES)
+        assert not client.delete(b"k")

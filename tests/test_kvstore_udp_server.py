@@ -13,6 +13,7 @@ from repro.kvstore.udp_server import (
     UdpMemcachedServer,
     decode_frame,
     encode_frame,
+    multiget_request,
     reassemble,
     split_response,
 )
@@ -131,3 +132,15 @@ class TestUdpServer:
         udp.handle_datagram(request_datagram(b"get a\r\n"))
         udp.handle_datagram(request_datagram(b"get b\r\n"))
         assert udp.requests_served == 2
+
+    def test_multiget_request_matches_the_tcp_multiget(self):
+        udp = make_udp(mtu_payload=64)
+        tcp = udp.server.connect()
+        for key, value in ((b"k1", b"one"), (b"k3", b"three" * 20)):
+            tcp.feed(b"set %s 0 0 %d\r\n%s\r\n" % (key, len(value), value))
+        responses = udp.handle_datagram(
+            multiget_request(41, [b"k1", b"k2", b"k3"])
+        )
+        assert len(responses) > 1  # the reply spans datagrams
+        assert reassemble(responses) == tcp.feed(b"get k1 k2 k3\r\n")
+        assert udp.multigets_served == 1
