@@ -74,5 +74,6 @@ def write_artefact(
         raise ConfigurationError(
             f"unsupported export suffix {path.suffix!r}; use .csv or .json"
         )
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
     return path

@@ -1,34 +1,13 @@
 """Command-line interface: regenerate any paper artefact from a shell.
 
-Usage::
-
-    python -m repro table1|table2|table3|table4
-    python -m repro fig4|fig5|fig6|fig7|fig8
-    python -m repro headlines
-    python -m repro sensitivity [--factor 1.5]
-    python -m repro thermal [--cores 32] [--family mercury]
-    python -m repro plan --dataset-gb 28672 --tps 50e6 [--value-bytes 64]
-    python -m repro evaluate [--family mercury] [--cores 32] [--verb GET]
-                             [--size 64]
-    python -m repro telemetry [--family mercury] [--cores 8] [--load 0.6]
-                              [--duration 0.2] [--out telemetry-out]
-                              [--profile] [--interval 0.05]
-                              [--scenario crash-restart]
-    python -m repro trace [--scenario crash-restart] [--replicas 3]
-                          [--cores 4] [--load 0.5] [--duration 0.5]
-                          [--out trace-out]
-    python -m repro replication [--replicas 1,2,3] [--scenario crash-restart]
-                                [--cores 4] [--load 0.3] [--duration 4.0]
-    python -m repro sweep [--kind fig7|sensitivity|full-system]
-                          [--parallel 4] [--no-cache] [--export out.json]
-    python -m repro flashstore [--put-fractions 0.1,0.5,0.9] [--cores 4]
-                               [--rate 20000] [--duration 2.0]
-                               [--export out.json]
+Run ``python -m repro --help`` for the subcommands, and
+``python -m repro <subcommand> --help`` for each one's flags.
 """
 
 from __future__ import annotations
 
 import argparse
+from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.analysis import (
@@ -87,6 +66,69 @@ def _stack_for(family: str, cores: int):
     return build(cores=cores)
 
 
+def _add_run_flags(
+    p: argparse.ArgumentParser,
+    *,
+    cores: int,
+    load: float,
+    duration: float,
+    memory_mb: int,
+) -> None:
+    """Declare the run flags every full-system subcommand shares, at that
+    subcommand's defaults."""
+    p.add_argument("--family", choices=["mercury", "iridium"], default="mercury")
+    p.add_argument("--cores", type=int, default=cores)
+    p.add_argument("--load", type=float, default=load,
+                   help="offered load as a fraction of linear-scaling capacity")
+    p.add_argument("--duration", type=float, default=duration,
+                   help="simulated seconds to run")
+    p.add_argument("--size", default="64", help="value size (64, 4K, ...)")
+    p.add_argument("--memory-mb", type=int, default=memory_mb,
+                   help="per-core store budget in MB")
+    p.add_argument("--seed", type=int, default=42)
+
+
+def _run_setup(
+    args: argparse.Namespace, scenario_name: str, window_s: float | None = None
+):
+    """``(scenario, workload, options)`` from the shared run flags: the
+    named scenario's workload at ``--size``, offered at ``--load`` of the
+    stack's linear-scaling GET capacity for ``--duration``."""
+    from repro.exp.scenarios import get_scenario
+
+    scenario = get_scenario(scenario_name)
+    size = parse_size(args.size)
+    model = _stack_for(args.family, args.cores).latency_model()
+    capacity = args.cores * model.tps("GET", size)
+    options = scenario.run_options(
+        offered_rate_hz=args.load * capacity,
+        duration_s=args.duration,
+        window_s=window_s,
+    )
+    return scenario, scenario.workload(size), options
+
+
+def _system(args: argparse.Namespace):
+    """A fresh :class:`FullSystemStack` from the shared run flags."""
+    from repro.sim.full_system import FullSystemStack
+    from repro.units import MB
+
+    return FullSystemStack(
+        stack=_stack_for(args.family, args.cores),
+        memory_per_core_bytes=args.memory_mb * MB,
+        seed=args.seed,
+    )
+
+
+def _write(path: str, text: str) -> str:
+    """Write an ``--export``/``--stats-export`` file, creating its
+    directory; returns the line the CLI prints."""
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(text)
+    return f"wrote {target}"
+
+
 def _cmd_table(args: argparse.Namespace) -> str:
     builder, caption = _TABLES[args.artefact]
     headers, rows = builder()
@@ -113,11 +155,7 @@ def _cmd_figure(args: argparse.Namespace) -> str:
         from repro.analysis.export import figure_to_json
 
         payload = [json.loads(figure_to_json(panel)) for panel in panels]
-        from pathlib import Path
-
-        path = Path(args.export)
-        path.write_text(json.dumps(payload, indent=2))
-        return f"wrote {path}"
+        return _write(args.export, json.dumps(payload, indent=2))
     return "\n\n".join(
         render_series(panel.x_label, panel.x_values, panel.series, caption=panel.title)
         for panel in panels
@@ -236,10 +274,6 @@ def _cmd_pareto(args: argparse.Namespace) -> str:
 
 
 def _cmd_telemetry(args: argparse.Namespace) -> str:
-    from pathlib import Path
-
-    from repro.exp.scenarios import get_scenario
-    from repro.sim.full_system import FullSystemStack
     from repro.telemetry import (
         SimProfiler,
         SloMonitor,
@@ -252,15 +286,9 @@ def _cmd_telemetry(args: argparse.Namespace) -> str:
         write_timeseries_jsonl,
         write_trace_jsonl,
     )
-    from repro.units import MB
 
-    scenario = get_scenario(args.scenario or "baseline")
-    stack = _stack_for(args.family, args.cores)
-    system = FullSystemStack(
-        stack=stack, memory_per_core_bytes=args.memory_mb * MB, seed=args.seed
-    )
-    workload = scenario.workload(parse_size(args.size))
-    capacity = stack.cores * system.model.tps("GET", parse_size(args.size))
+    _scenario, workload, options = _run_setup(args, args.scenario or "baseline")
+    system = _system(args)
     telemetry = TelemetrySession(max_traces=args.trace_limit)
 
     objectives = paper_sla_objectives(
@@ -281,9 +309,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> str:
     recorder = TimeSeriesRecorder(telemetry.registry, interval_s=interval)
     profiler = SimProfiler() if args.profile else None
 
-    options = scenario.run_options(
-        offered_rate_hz=args.load * capacity, duration_s=args.duration
-    ).with_instruments(
+    options = options.with_instruments(
         telemetry=telemetry, timeseries=recorder, slo=slo, profiler=profiler
     )
     if args.batch_max > 1:
@@ -304,7 +330,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> str:
     metrics_path = write_prometheus(out / "metrics.prom", telemetry.registry)
     series_path = write_timeseries_jsonl(out / "timeseries.jsonl", recorder)
     header = (
-        f"{stack.name} @ {args.load:.0%} load for {args.duration}s simulated: "
+        f"{system.stack.name} @ {args.load:.0%} load for {args.duration}s simulated: "
         f"{results.completed} requests, {results.throughput_hz / 1e3:.1f} KTPS, "
         f"mean RTT {results.mean_rtt * 1e6:.0f} us, "
         f"p99 {results.rtt_percentile(0.99) * 1e6:.0f} us, "
@@ -345,12 +371,8 @@ def _cmd_telemetry(args: argparse.Namespace) -> str:
 
 
 def _cmd_power(args: argparse.Namespace) -> str:
-    from pathlib import Path
-
     from repro.analysis.ascii_chart import bar_chart
-    from repro.exp.scenarios import get_scenario
     from repro.power import DEFAULT_BUDGET, DEFAULT_COSTS, DynamicPowerModel
-    from repro.sim.full_system import FullSystemStack
     from repro.telemetry import (
         EnergyMeter,
         TelemetrySession,
@@ -358,17 +380,12 @@ def _cmd_power(args: argparse.Namespace) -> str:
         write_prometheus,
         write_timeseries_jsonl,
     )
-    from repro.units import MB
 
-    scenario = get_scenario(args.scenario)
-    stack = _stack_for(args.family, args.cores)
+    scenario, workload, options = _run_setup(args, args.scenario)
+    system = _system(args)
+    stack = system.stack
     design = ServerDesign(stack=stack)
     num_stacks = args.stacks if args.stacks else design.num_stacks
-    system = FullSystemStack(
-        stack=stack, memory_per_core_bytes=args.memory_mb * MB, seed=args.seed
-    )
-    workload = scenario.workload(parse_size(args.size))
-    capacity = stack.cores * system.model.tps("GET", parse_size(args.size))
     telemetry = TelemetrySession()
     interval = args.interval if args.interval else args.duration / 20
     recorder = TimeSeriesRecorder(telemetry.registry, interval_s=interval)
@@ -380,9 +397,9 @@ def _cmd_power(args: argparse.Namespace) -> str:
         budget_w=DEFAULT_BUDGET.stack_budget_w,
         throttle_derate=args.throttle_derate,
     )
-    options = scenario.run_options(
-        offered_rate_hz=args.load * capacity, duration_s=args.duration
-    ).with_instruments(telemetry=telemetry, timeseries=recorder, energy=meter)
+    options = options.with_instruments(
+        telemetry=telemetry, timeseries=recorder, energy=meter
+    )
     results = system.run(workload, options)
     summary = results.energy
 
@@ -464,12 +481,9 @@ def _cmd_trace(args: argparse.Namespace) -> str:
     import json
 
     from dataclasses import replace
-    from pathlib import Path
 
-    from repro.exp.scenarios import get_scenario
     from repro.faults import DEFAULT_RESILIENCE, NO_RESILIENCE
     from repro.replication.config import ReplicationConfig
-    from repro.sim.full_system import FullSystemStack
     from repro.telemetry import (
         TelemetrySession,
         compute_trace_digest,
@@ -479,23 +493,15 @@ def _cmd_trace(args: argparse.Namespace) -> str:
         write_trace_events,
         write_trace_jsonl,
     )
-    from repro.units import MB
 
-    scenario = get_scenario(args.scenario or "baseline")
-    stack = _stack_for(args.family, args.cores)
-    system = FullSystemStack(
-        stack=stack, memory_per_core_bytes=args.memory_mb * MB, seed=args.seed
-    )
-    workload = scenario.workload(parse_size(args.size))
-    capacity = stack.cores * system.model.tps("GET", parse_size(args.size))
+    scenario, workload, options = _run_setup(args, args.scenario or "baseline")
+    system = _system(args)
     telemetry = TelemetrySession(
         max_traces=args.trace_limit,
         slo_deadline_s=args.slo_deadline_us * 1e-6,
         sampling_seed=args.seed,
     )
-    options = scenario.run_options(
-        offered_rate_hz=args.load * capacity, duration_s=args.duration
-    ).with_instruments(telemetry=telemetry)
+    options = options.with_instruments(telemetry=telemetry)
     if args.replicas > 1:
         options = replace(
             options,
@@ -521,7 +527,7 @@ def _cmd_trace(args: argparse.Namespace) -> str:
         json.dumps(digest, indent=2, sort_keys=True) + "\n"
     )
     header = (
-        f"{stack.name} @ {args.load:.0%} load for {args.duration}s simulated "
+        f"{system.stack.name} @ {args.load:.0%} load for {args.duration}s simulated "
         f"(scenario {scenario.name!r}): {results.completed} requests, "
         f"{results.failed} failed, p99 RTT "
         f"{results.rtt_percentile(0.99) * 1e6:.0f} us; "
@@ -549,10 +555,7 @@ def _cmd_faults(args: argparse.Namespace) -> str:
 
     from dataclasses import replace
 
-    from repro.exp.scenarios import get_scenario
     from repro.faults import DEFAULT_RESILIENCE, NO_RESILIENCE, PRESETS, FaultSchedule
-    from repro.sim.full_system import FullSystemStack
-    from repro.units import MB
 
     if args.list:
         lines = ["available fault scenarios (--scenario NAME):"]
@@ -561,32 +564,20 @@ def _cmd_faults(args: argparse.Namespace) -> str:
             lines.append(f"  {name:22s} {len(schedule.events)} events ({kinds})")
         return "\n".join(lines)
 
-    scenario = get_scenario(args.scenario)
+    scenario, workload, options = _run_setup(
+        args, args.scenario, window_s=args.window
+    )
     if args.schedule:
         schedule = FaultSchedule.load(args.schedule)
     else:
         schedule = scenario.fault_schedule()
     policy = NO_RESILIENCE if args.no_resilience else DEFAULT_RESILIENCE
-    workload = scenario.workload(parse_size(args.size))
     deadline_s = args.deadline_us * 1e-6
 
-    def build() -> FullSystemStack:
-        return FullSystemStack(
-            stack=_stack_for(args.family, args.cores),
-            memory_per_core_bytes=args.memory_mb * MB,
-            seed=args.seed,
-        )
-
-    base_system = build()
-    capacity = args.cores * base_system.model.tps("GET", parse_size(args.size))
-    base_options = scenario.run_options(
-        offered_rate_hz=args.load * capacity,
-        duration_s=args.duration,
-        window_s=args.window,
-    )
-    base_options = replace(base_options, faults=None)
+    base_system = _system(args)
+    base_options = replace(options, faults=None)
     base = base_system.run(workload, base_options)
-    faulty = build().run(
+    faulty = _system(args).run(
         workload, replace(base_options, faults=schedule, resilience=policy)
     )
 
@@ -617,11 +608,7 @@ def _cmd_faults(args: argparse.Namespace) -> str:
         "recovery_time_s": recovery,
     }
     if args.export:
-        from pathlib import Path
-
-        path = Path(args.export)
-        path.write_text(json.dumps(stats, indent=2))
-        return f"wrote {path}"
+        return _write(args.export, json.dumps(stats, indent=2))
     lines = [
         f"fault scenario {schedule.name!r} on {base_system.stack.name} "
         f"({args.cores} cores, {args.load:.0%} load, {args.duration}s simulated, "
@@ -656,44 +643,25 @@ def _cmd_replication(args: argparse.Namespace) -> str:
 
     from dataclasses import replace
 
-    from repro.exp.scenarios import get_scenario
     from repro.faults import DEFAULT_RESILIENCE, FaultSchedule
     from repro.replication.config import ReplicationConfig
-    from repro.sim.full_system import FullSystemStack
-    from repro.units import MB
 
-    scenario = get_scenario(args.scenario)
+    scenario, workload, options = _run_setup(
+        args, args.scenario, window_s=args.window
+    )
     if args.schedule:
         schedule = FaultSchedule.load(args.schedule)
     else:
         schedule = scenario.fault_schedule()
-    workload = scenario.workload(parse_size(args.size))
-
-    def build() -> FullSystemStack:
-        return FullSystemStack(
-            stack=_stack_for(args.family, args.cores),
-            memory_per_core_bytes=args.memory_mb * MB,
-            seed=args.seed,
-        )
-
-    capacity = args.cores * build().model.tps("GET", parse_size(args.size))
-    base_options = replace(
-        scenario.run_options(
-            offered_rate_hz=args.load * capacity,
-            duration_s=args.duration,
-            window_s=args.window,
-        ),
-        faults=None,
-        resilience=DEFAULT_RESILIENCE,
-    )
+    base_options = replace(options, faults=None, resilience=DEFAULT_RESILIENCE)
     replica_counts = sorted(set(int(n) for n in args.replicas.split(",")))
     sweep = []
     for n in replica_counts:
         config = ReplicationConfig(
             n=n, r=min(args.read_quorum, n), w=min(args.write_quorum, n)
         )
-        base = build().run(workload, replace(base_options, replication=config))
-        faulted = build().run(
+        base = _system(args).run(workload, replace(base_options, replication=config))
+        faulted = _system(args).run(
             workload,
             replace(base_options, replication=config, faults=schedule),
         )
@@ -721,13 +689,10 @@ def _cmd_replication(args: argparse.Namespace) -> str:
             }
         )
     if args.export:
-        from pathlib import Path
-
-        path = Path(args.export)
-        path.write_text(json.dumps(
-            {"scenario": schedule.name, "sweep": sweep}, indent=2
-        ))
-        return f"wrote {path}"
+        return _write(
+            args.export,
+            json.dumps({"scenario": schedule.name, "sweep": sweep}, indent=2),
+        )
     lines = [
         f"replication sweep under {schedule.name!r} "
         f"({args.cores} cores, {args.load:.0%} load, {args.duration}s simulated; "
@@ -757,7 +722,6 @@ def _cmd_replication(args: argparse.Namespace) -> str:
 def _cmd_sweep(args: argparse.Namespace) -> str:
     import json
     import sys
-    from pathlib import Path
 
     from repro.exp import (
         DEFAULT_CACHE_DIR,
@@ -860,18 +824,16 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
 
     lines = []
     if args.export:
-        path = Path(args.export)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
+        lines.append(_write(
+            args.export,
             json.dumps(report.labelled_results(), indent=1, sort_keys=True)
-            + "\n"
-        )
-        lines.append(f"wrote {path}")
+            + "\n",
+        ))
     if args.stats_export:
-        path = Path(args.stats_export)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(stats, indent=1, sort_keys=True) + "\n")
-        lines.append(f"wrote {path}")
+        lines.append(_write(
+            args.stats_export,
+            json.dumps(stats, indent=1, sort_keys=True) + "\n",
+        ))
     workers = (
         "serial"
         if not args.parallel or args.parallel <= 1
@@ -995,11 +957,7 @@ def _cmd_flashstore(args: argparse.Namespace) -> str:
             }
         )
     if args.export:
-        from pathlib import Path
-
-        path = Path(args.export)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(
+        return _write(args.export, json.dumps(
             {
                 "cores": args.cores,
                 "rate_hz": args.rate,
@@ -1010,7 +968,6 @@ def _cmd_flashstore(args: argparse.Namespace) -> str:
             },
             indent=2,
         ))
-        return f"wrote {path}"
     lines = [
         f"tiered flash store vs page-per-item FTL on iridium "
         f"({args.cores} cores, {args.rate:g} Hz offered, "
@@ -1089,16 +1046,7 @@ def build_parser() -> argparse.ArgumentParser:
         "telemetry",
         help="full-system run with tracing on: JSONL trace + metrics snapshot",
     )
-    p.add_argument("--family", choices=["mercury", "iridium"], default="mercury")
-    p.add_argument("--cores", type=int, default=8)
-    p.add_argument("--load", type=float, default=0.6,
-                   help="offered load as a fraction of linear-scaling capacity")
-    p.add_argument("--duration", type=float, default=0.2,
-                   help="simulated seconds to run")
-    p.add_argument("--size", default="64", help="value size (64, 4K, ...)")
-    p.add_argument("--memory-mb", type=int, default=16,
-                   help="per-core store budget in MB")
-    p.add_argument("--seed", type=int, default=42)
+    _add_run_flags(p, cores=8, load=0.6, duration=0.2, memory_mb=16)
     p.add_argument("--trace-limit", type=int, default=100_000,
                    help="max traces retained for the JSONL dump")
     p.add_argument("--out", default="telemetry-out",
@@ -1132,16 +1080,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="energy-metered full-system run: power timeline, per-component "
              "energy, measured-vs-static watts, TCO at measured energy",
     )
-    p.add_argument("--family", choices=["mercury", "iridium"], default="mercury")
-    p.add_argument("--cores", type=int, default=8)
-    p.add_argument("--load", type=float, default=0.9,
-                   help="offered load as a fraction of linear-scaling capacity")
-    p.add_argument("--duration", type=float, default=0.2,
-                   help="simulated seconds to run")
-    p.add_argument("--size", default="64", help="value size (64, 4K, ...)")
-    p.add_argument("--memory-mb", type=int, default=16,
-                   help="per-core store budget in MB")
-    p.add_argument("--seed", type=int, default=42)
+    _add_run_flags(p, cores=8, load=0.9, duration=0.2, memory_mb=16)
     p.add_argument("--scenario", default="energy-diurnal",
                    help="named scenario to run (default energy-diurnal; "
                         "'baseline' measures flat load)")
@@ -1164,16 +1103,7 @@ def build_parser() -> argparse.ArgumentParser:
         "JSON, tail-based sampling, critical-path attribution table, "
         "ASCII waterfall of the slowest trace",
     )
-    p.add_argument("--family", choices=["mercury", "iridium"], default="mercury")
-    p.add_argument("--cores", type=int, default=4)
-    p.add_argument("--load", type=float, default=0.5,
-                   help="offered load as a fraction of linear-scaling capacity")
-    p.add_argument("--duration", type=float, default=0.5,
-                   help="simulated seconds to run")
-    p.add_argument("--size", default="64", help="value size (64, 4K, ...)")
-    p.add_argument("--memory-mb", type=int, default=8,
-                   help="per-core store budget in MB")
-    p.add_argument("--seed", type=int, default=42)
+    _add_run_flags(p, cores=4, load=0.5, duration=0.5, memory_mb=8)
     p.add_argument("--scenario", choices=sorted(_FAULT_PRESETS), default=None,
                    help="inject a fault preset (client resilience on)")
     p.add_argument("--replicas", type=int, default=1,
@@ -1204,16 +1134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", help="path to a fault-schedule JSON file "
                    "(overrides --scenario)")
     p.add_argument("--list", action="store_true", help="list named scenarios")
-    p.add_argument("--family", choices=["mercury", "iridium"], default="mercury")
-    p.add_argument("--cores", type=int, default=4)
-    p.add_argument("--load", type=float, default=0.5,
-                   help="offered load as a fraction of linear-scaling capacity")
-    p.add_argument("--duration", type=float, default=4.0,
-                   help="simulated seconds to run")
-    p.add_argument("--size", default="64", help="value size (64, 4K, ...)")
-    p.add_argument("--memory-mb", type=int, default=8,
-                   help="per-core store budget in MB")
-    p.add_argument("--seed", type=int, default=42)
+    _add_run_flags(p, cores=4, load=0.5, duration=4.0, memory_mb=8)
     p.add_argument("--window", type=float, default=0.25,
                    help="hit-rate timeline bucket width in seconds")
     p.add_argument("--deadline-us", type=float, default=1000.0,
@@ -1239,16 +1160,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="named fault schedule to replay")
     p.add_argument("--schedule", help="path to a fault-schedule JSON file "
                    "(overrides --scenario)")
-    p.add_argument("--family", choices=["mercury", "iridium"], default="mercury")
-    p.add_argument("--cores", type=int, default=4)
-    p.add_argument("--load", type=float, default=0.3,
-                   help="offered load as a fraction of linear-scaling capacity")
-    p.add_argument("--duration", type=float, default=4.0,
-                   help="simulated seconds to run")
-    p.add_argument("--size", default="64", help="value size (64, 4K, ...)")
-    p.add_argument("--memory-mb", type=int, default=8,
-                   help="per-core store budget in MB")
-    p.add_argument("--seed", type=int, default=42)
+    _add_run_flags(p, cores=4, load=0.3, duration=4.0, memory_mb=8)
     p.add_argument("--window", type=float, default=0.25,
                    help="hit-rate timeline bucket width in seconds")
     p.add_argument("--export", help="write the sweep as JSON instead of text")

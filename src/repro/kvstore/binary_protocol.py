@@ -419,13 +419,7 @@ class BinaryServer:
             result = store.add(request.key, request.value, flags, float(expiry))
         else:
             result = store.replace(request.key, request.value, flags, float(expiry))
-        status = {
-            StoreResult.STORED: Status.NO_ERROR,
-            StoreResult.NOT_STORED: Status.ITEM_NOT_STORED,
-            StoreResult.EXISTS: Status.KEY_EXISTS,
-            StoreResult.NOT_FOUND: Status.KEY_NOT_FOUND,
-            StoreResult.OUT_OF_MEMORY: Status.OUT_OF_MEMORY,
-        }.get(result, Status.ITEM_NOT_STORED)
+        status = self._RESULT_STATUS.get(result, Status.ITEM_NOT_STORED)
         cas = 0
         if status is Status.NO_ERROR:
             stored = self.store.table.find(request.key)

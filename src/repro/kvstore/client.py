@@ -64,6 +64,16 @@ from repro.telemetry.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.telemetry.tracing import NULL_TELEMETRY, RequestTrace, TelemetrySession
 
 
+#: The binary opcode of each storage verb (a ``cas`` is a SET carrying a
+#: nonzero CAS id).
+_STORAGE_OPCODE = {
+    "set": Opcode.SET,
+    "add": Opcode.ADD,
+    "replace": Opcode.REPLACE,
+    "cas": Opcode.SET,
+}
+
+
 @dataclass(frozen=True)
 class GetResult:
     """A successful retrieval."""
@@ -125,10 +135,13 @@ class MemcachedClient:
             raise ProtocolError("unexpected trailing response bytes")
         return Status(response.status), response.value, response.cas
 
-    # --- retrieval ------------------------------------------------------------------
+    # --- node-addressed operations ---------------------------------------------------
+    #
+    # One method per verb family, addressed to a given node; the public
+    # operations below send to the key's ring owner, and ResilientClient
+    # sends replica copies and retries through the same methods.
 
-    def get(self, key: bytes) -> GetResult | None:
-        node = self.node_for(key)
+    def _get_on(self, node: str, key: bytes) -> GetResult | None:
         if self.protocol == "binary":
             status, value, cas = self._binary_roundtrip(node, get_request(key))
             if status is Status.KEY_NOT_FOUND:
@@ -142,6 +155,57 @@ class MemcachedClient:
             return None
         _key, flags, value, cas = response.values[0]
         return GetResult(value=value, flags=flags, cas=cas)
+
+    def _store_on(self, node: str, verb: str, key: bytes, value: bytes,
+                  flags: int, expire: float, cas: int = 0) -> bool:
+        """One ``set``/``add``/``replace``/``cas`` sent to ``node``."""
+        if self.protocol == "binary":
+            status, _v, _c = self._binary_roundtrip(
+                node,
+                set_request(key, value, flags, int(expire), cas=cas,
+                            opcode=_STORAGE_OPCODE[verb]),
+            )
+            return status is Status.NO_ERROR
+        command = Command(
+            verb=verb, keys=(key,), data=value, flags=flags, exptime=expire, cas=cas
+        )
+        return self._ascii_roundtrip(node, command).strip() == b"STORED"
+
+    def _delete_on(self, node: str, key: bytes) -> bool:
+        if self.protocol == "binary":
+            status, _v, _c = self._binary_roundtrip(
+                node, simple_request(Opcode.DELETE, key)
+            )
+            return status is Status.NO_ERROR
+        reply = self._ascii_roundtrip(node, Command(verb="delete", keys=(key,)))
+        return reply.strip() == b"DELETED"
+
+    def _arith_on(self, node: str, verb: str, key: bytes, delta: int) -> int | None:
+        """One ``incr``/``decr``; None when the key is missing or not a number."""
+        if self.protocol == "binary":
+            status, value, _c = self._binary_roundtrip(
+                node, arith_request(key, delta, decrement=verb == "decr")
+            )
+            if status is not Status.NO_ERROR:
+                return None
+            return struct.unpack(">Q", value)[0]
+        reply = self._ascii_roundtrip(
+            node, Command(verb=verb, keys=(key,), delta=delta)
+        )
+        if reply.strip() == b"NOT_FOUND" or reply.startswith(b"CLIENT_ERROR"):
+            return None
+        return int(reply.strip())
+
+    def _flush_on(self, node: str) -> None:
+        if self.protocol == "binary":
+            self._binary_roundtrip(node, simple_request(Opcode.FLUSH))
+        else:
+            self._ascii_roundtrip(node, Command(verb="flush_all"))
+
+    # --- operations -------------------------------------------------------------------
+
+    def get(self, key: bytes) -> GetResult | None:
+        return self._get_on(self.node_for(key), key)
 
     def get_many(self, keys: list[bytes]) -> dict[bytes, GetResult]:
         """Multi-get, batched per owning node (one round trip per node)."""
@@ -163,100 +227,35 @@ class MemcachedClient:
                 results[key] = GetResult(value=value, flags=flags, cas=cas)
         return results
 
-    # --- storage ---------------------------------------------------------------------
-
-    def _mutate_ascii(self, verb: str, key: bytes, value: bytes, flags: int,
-                      expire: float, cas: int = 0) -> bool:
-        command = Command(
-            verb=verb, keys=(key,), data=value, flags=flags, exptime=expire, cas=cas
-        )
-        reply = self._ascii_roundtrip(self.node_for(key), command)
-        return reply.strip() == b"STORED"
-
     def set(self, key: bytes, value: bytes, flags: int = 0, expire: float = 0) -> bool:
-        if self.protocol == "binary":
-            status, _v, _c = self._binary_roundtrip(
-                self.node_for(key), set_request(key, value, flags, int(expire))
-            )
-            return status is Status.NO_ERROR
-        return self._mutate_ascii("set", key, value, flags, expire)
+        return self._store_on(self.node_for(key), "set", key, value, flags, expire)
 
     def add(self, key: bytes, value: bytes, flags: int = 0, expire: float = 0) -> bool:
-        if self.protocol == "binary":
-            status, _v, _c = self._binary_roundtrip(
-                self.node_for(key),
-                set_request(key, value, flags, int(expire), opcode=Opcode.ADD),
-            )
-            return status is Status.NO_ERROR
-        return self._mutate_ascii("add", key, value, flags, expire)
+        return self._store_on(self.node_for(key), "add", key, value, flags, expire)
 
     def replace(self, key: bytes, value: bytes, flags: int = 0, expire: float = 0) -> bool:
-        if self.protocol == "binary":
-            status, _v, _c = self._binary_roundtrip(
-                self.node_for(key),
-                set_request(key, value, flags, int(expire), opcode=Opcode.REPLACE),
-            )
-            return status is Status.NO_ERROR
-        return self._mutate_ascii("replace", key, value, flags, expire)
+        return self._store_on(
+            self.node_for(key), "replace", key, value, flags, expire
+        )
 
     def cas(self, key: bytes, value: bytes, cas: int, flags: int = 0,
             expire: float = 0) -> bool:
-        if self.protocol == "binary":
-            status, _v, _c = self._binary_roundtrip(
-                self.node_for(key),
-                set_request(key, value, flags, int(expire), cas=cas),
-            )
-            return status is Status.NO_ERROR
-        return self._mutate_ascii("cas", key, value, flags, expire, cas=cas)
+        return self._store_on(
+            self.node_for(key), "cas", key, value, flags, expire, cas=cas
+        )
 
     def delete(self, key: bytes) -> bool:
-        node = self.node_for(key)
-        if self.protocol == "binary":
-            status, _v, _c = self._binary_roundtrip(
-                node, simple_request(Opcode.DELETE, key)
-            )
-            return status is Status.NO_ERROR
-        reply = self._ascii_roundtrip(node, Command(verb="delete", keys=(key,)))
-        return reply.strip() == b"DELETED"
+        return self._delete_on(self.node_for(key), key)
 
     def incr(self, key: bytes, delta: int = 1) -> int | None:
-        node = self.node_for(key)
-        if self.protocol == "binary":
-            status, value, _c = self._binary_roundtrip(
-                node, arith_request(key, delta)
-            )
-            if status is not Status.NO_ERROR:
-                return None
-            return struct.unpack(">Q", value)[0]
-        reply = self._ascii_roundtrip(
-            node, Command(verb="incr", keys=(key,), delta=delta)
-        )
-        if reply.strip() == b"NOT_FOUND" or reply.startswith(b"CLIENT_ERROR"):
-            return None
-        return int(reply.strip())
+        return self._arith_on(self.node_for(key), "incr", key, delta)
 
     def decr(self, key: bytes, delta: int = 1) -> int | None:
-        node = self.node_for(key)
-        if self.protocol == "binary":
-            status, value, _c = self._binary_roundtrip(
-                node, arith_request(key, delta, decrement=True)
-            )
-            if status is not Status.NO_ERROR:
-                return None
-            return struct.unpack(">Q", value)[0]
-        reply = self._ascii_roundtrip(
-            node, Command(verb="decr", keys=(key,), delta=delta)
-        )
-        if reply.strip() == b"NOT_FOUND" or reply.startswith(b"CLIENT_ERROR"):
-            return None
-        return int(reply.strip())
+        return self._arith_on(self.node_for(key), "decr", key, delta)
 
     def flush_all(self) -> None:
         for name in self._stores:
-            if self.protocol == "binary":
-                self._binary_roundtrip(name, simple_request(Opcode.FLUSH))
-            else:
-                self._ascii[name].feed(b"flush_all\r\n")
+            self._flush_on(name)
 
     # --- accounting -------------------------------------------------------------------
 
@@ -600,43 +599,6 @@ class ResilientClient(MemcachedClient):
         primary = self.node_for(key)
         return nodes[(nodes.index(primary) + 1) % len(nodes)]
 
-    def _get_from(self, node: str, key: bytes) -> GetResult | None:
-        if self.protocol == "binary":
-            status, value, cas = self._binary_roundtrip(node, get_request(key))
-            if status is Status.KEY_NOT_FOUND:
-                return None
-            if status is not Status.NO_ERROR:
-                raise ProtocolError(f"GET failed: {status.name}")
-            return GetResult(value=value, flags=0, cas=cas)
-        reply = self._ascii_roundtrip(node, Command(verb="gets", keys=(key,)))
-        response = parse_response(reply)
-        if not response.values:
-            return None
-        _key, flags, value, cas = response.values[0]
-        return GetResult(value=value, flags=flags, cas=cas)
-
-    def _set_on(self, node: str, key: bytes, value: bytes, flags: int,
-                expire: float) -> bool:
-        """One SET addressed to a specific replica (not the ring owner)."""
-        if self.protocol == "binary":
-            status, _v, _c = self._binary_roundtrip(
-                node, set_request(key, value, flags, int(expire))
-            )
-            return status is Status.NO_ERROR
-        command = Command(
-            verb="set", keys=(key,), data=value, flags=flags, exptime=expire
-        )
-        return self._ascii_roundtrip(node, command).strip() == b"STORED"
-
-    def _delete_on(self, node: str, key: bytes) -> bool:
-        if self.protocol == "binary":
-            status, _v, _c = self._binary_roundtrip(
-                node, simple_request(Opcode.DELETE, key)
-            )
-            return status is Status.NO_ERROR
-        reply = self._ascii_roundtrip(node, Command(verb="delete", keys=(key,)))
-        return reply.strip() == b"DELETED"
-
     # --- resilient operations ----------------------------------------------------------
 
     def _traced(self, verb: str, operation, finalize=None, **attrs):
@@ -668,11 +630,11 @@ class ResilientClient(MemcachedClient):
             node = self._hedge_node(key)
             if node is None:
                 raise NodeUnavailableError("<none>", "no hedge target")
-            return self._get_from(node, key)
+            return self._get_on(node, key)
 
         def operation() -> GetResult | None:
             return self._resilient(
-                lambda: self._get_from(self.node_for(key), key), None, hedge=hedge
+                lambda: self._get_on(self.node_for(key), key), None, hedge=hedge
             )
 
         if not self.tracer.enabled:
@@ -702,7 +664,8 @@ class ResilientClient(MemcachedClient):
             acks = 0
             for node in replicas:
                 stored = self._resilient(
-                    lambda n=node: self._set_on(n, key, value, flags, expire), False
+                    lambda n=node: self._store_on(n, "set", key, value, flags, expire),
+                    False,
                 )
                 if stored:
                     acks += 1
@@ -757,11 +720,7 @@ class ResilientClient(MemcachedClient):
         (their contents are gone when they come back anyway — §2.3)."""
         for name in self._stores:
             try:
-                if self.protocol == "binary":
-                    self._binary_roundtrip(name, simple_request(Opcode.FLUSH))
-                else:
-                    self._exchange(name)
-                    self._ascii[name].feed(b"flush_all\r\n")
+                self._flush_on(name)
             except NodeUnavailableError:
                 continue
 
@@ -1010,42 +969,16 @@ class ResilientClient(MemcachedClient):
         """
         replicated = self.quorum is not None and self.quorum.n > 1
         for op in batch.ops:
-            if op.verb == "get":
-                op.resolve(
-                    self._resilient(
-                        lambda op=op: self._get_from(self.node_for(op.key), op.key),
-                        None,
+            pinned = node if replicated and op.verb != "get" else None
+
+            def attempt(op=op, pinned=pinned):
+                target = pinned if pinned is not None else self.node_for(op.key)
+                if op.verb == "get":
+                    return self._get_on(target, op.key)
+                if op.verb == "set":
+                    return self._store_on(
+                        target, "set", op.key, op.value, op.flags, op.expire
                     )
-                )
-            elif op.verb == "set":
-                if replicated:
-                    op.resolve(
-                        self._resilient(
-                            lambda op=op: self._set_on(
-                                node, op.key, op.value, op.flags, op.expire
-                            ),
-                            False,
-                        )
-                    )
-                else:
-                    op.resolve(
-                        self._resilient(
-                            lambda op=op: MemcachedClient.set(
-                                self, op.key, op.value, op.flags, op.expire
-                            ),
-                            False,
-                        )
-                    )
-            else:
-                if replicated:
-                    op.resolve(
-                        self._resilient(
-                            lambda op=op: self._delete_on(node, op.key), False
-                        )
-                    )
-                else:
-                    op.resolve(
-                        self._resilient(
-                            lambda op=op: MemcachedClient.delete(self, op.key), False
-                        )
-                    )
+                return self._delete_on(target, op.key)
+
+            op.resolve(self._resilient(attempt, None if op.verb == "get" else False))

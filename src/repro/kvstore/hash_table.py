@@ -142,10 +142,6 @@ class HashTable:
         for bucket in self._buckets:
             yield from bucket
 
-    def chain_length(self, key: bytes) -> int:
-        """Length of the chain a lookup of ``key`` walks (cost probe)."""
-        return len(self._bucket_for(key))
-
     def chain_lengths(self) -> list[int]:
         """All live chain lengths (distribution checks in tests)."""
         lengths = [len(b) for b in self._buckets]

@@ -302,12 +302,11 @@ def render_response(response: Response) -> bytes:
     return bytes(out)
 
 
-def parse_response(blob: bytes) -> Response:
-    """Parse a complete server response (client side).
-
-    Raises:
-        ProtocolError: on malformed or truncated responses.
-    """
+def _parse_values(
+    blob: bytes,
+) -> tuple[list[tuple[bytes, int, bytes, int | None]], bytes]:
+    """Peel the leading ``VALUE`` blocks off ``blob``; returns
+    ``(values, rest)`` with ``rest`` starting at the status line."""
     values: list[tuple[bytes, int, bytes, int | None]] = []
     rest = blob
     while rest.startswith(b"VALUE "):
@@ -328,6 +327,16 @@ def parse_response(blob: bytes) -> Response:
         )
         values.append((key, flags, data, cas))
         rest = rest[body_start + length + 2 :]
+    return values, rest
+
+
+def parse_response(blob: bytes) -> Response:
+    """Parse a complete server response (client side).
+
+    Raises:
+        ProtocolError: on malformed or truncated responses.
+    """
+    values, rest = _parse_values(blob)
     end = rest.find(_CRLF)
     if end < 0 and not values:
         raise ProtocolError("no status line in response")
@@ -347,26 +356,7 @@ def parse_one_response(blob: bytes) -> tuple[Response, bytes]:
     Raises:
         ProtocolError: on malformed or truncated responses.
     """
-    values: list[tuple[bytes, int, bytes, int | None]] = []
-    rest = blob
-    while rest.startswith(b"VALUE "):
-        end = rest.find(_CRLF)
-        _require(end >= 0, "unterminated VALUE line")
-        parts = rest[:end].split()
-        _require(len(parts) in (4, 5), "bad VALUE line")
-        key = parts[1]
-        flags = _parse_int(parts[2], "flags")
-        length = _parse_int(parts[3], "bytes")
-        cas = _parse_int(parts[4], "cas id") if len(parts) == 5 else None
-        body_start = end + 2
-        _require(len(rest) >= body_start + length + 2, "truncated VALUE data")
-        data = rest[body_start : body_start + length]
-        _require(
-            rest[body_start + length : body_start + length + 2] == _CRLF,
-            "VALUE data not CRLF-terminated",
-        )
-        values.append((key, flags, data, cas))
-        rest = rest[body_start + length + 2 :]
+    values, rest = _parse_values(blob)
     end = rest.find(_CRLF)
     _require(end >= 0, "no status line in response")
     status = rest[:end].decode("ascii", "replace")

@@ -11,7 +11,6 @@ board, two PHYs per 441 mm^2 package.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.errors import CapacityError, ConfigurationError
 from repro.network.packets import ETHERNET_10GBE, EthernetParams
@@ -50,8 +49,11 @@ class NicPhy:
 class NicMac:
     """The on-stack MAC: packet buffers plus routing to cores.
 
-    The functional part (route/enqueue/dequeue) is used by the DES; the
-    power/area constants feed the stack-level models.
+    The power/area constants feed the stack-level models.  The
+    functional part (bind/enqueue/dequeue) is a stand-alone model of
+    the MAC's port routing and buffer; the full-system DES does not
+    call it, and applies its own per-core queue bound and injected link
+    loss in ``RequestPipeline.lost``.
     """
 
     def __init__(
@@ -77,33 +79,9 @@ class NicMac:
         self._port_to_core: dict[int, int] = {}
         self.drops = 0
         self.forwarded = 0
-        self.link_drops = 0
-        self.link_corruptions = 0
-        self._should_drop: Callable[[], bool] | None = None
-        self._should_corrupt: Callable[[], bool] | None = None
         self._drops_total = registry.counter("nic_mac_drops_total")
         self._forwarded_total = registry.counter("nic_mac_forwarded_total")
-        self._link_drops_total = registry.counter("nic_link_drops_total")
-        self._link_corruptions_total = registry.counter("nic_link_corruptions_total")
         self._buffered_gauge = registry.gauge("nic_mac_buffered_bytes")
-
-    # --- fault injection ----------------------------------------------------
-
-    def attach_link_faults(
-        self,
-        should_drop: Callable[[], bool] | None = None,
-        should_corrupt: Callable[[], bool] | None = None,
-    ) -> None:
-        """Plug a fault injector into the link side of the MAC.
-
-        ``should_drop`` / ``should_corrupt`` are drawn once per arriving
-        packet (a :class:`~repro.faults.injector.FaultInjector`'s bound
-        methods fit directly).  A corrupted frame fails its Ethernet FCS
-        at the MAC and is discarded, so both look like loss to the host
-        — but they are counted separately, as real NICs do.
-        """
-        self._should_drop = should_drop
-        self._should_corrupt = should_corrupt
 
     # --- routing table -----------------------------------------------------
 
@@ -127,8 +105,7 @@ class NicMac:
         return self._buffered_bytes
 
     def enqueue(self, tcp_port: int, packet_bytes: int, trace=None) -> bool:
-        """Buffer an arriving packet for its core; False (+drop) if full,
-        lost on the wire, or corrupted (failed FCS).
+        """Buffer an arriving packet for its core; False (+drop) if full.
 
         ``trace`` (a :class:`~repro.telemetry.tracing.RequestTrace`)
         gets the drop reason annotated as ``nic_drop`` so a lost
@@ -137,18 +114,6 @@ class NicMac:
         if packet_bytes <= 0:
             raise ConfigurationError("packet size must be positive")
         core = self.core_for_port(tcp_port)
-        if self._should_drop is not None and self._should_drop():
-            self.link_drops += 1
-            self._link_drops_total.inc()
-            if trace is not None:
-                trace.annotate(nic_drop="link")
-            return False
-        if self._should_corrupt is not None and self._should_corrupt():
-            self.link_corruptions += 1
-            self._link_corruptions_total.inc()
-            if trace is not None:
-                trace.annotate(nic_drop="corrupt")
-            return False
         if self._buffered_bytes + packet_bytes > self.buffer_bytes:
             self.drops += 1
             self._drops_total.inc()

@@ -56,24 +56,5 @@ class TcpCostModel:
             + self.per_byte_instructions * payload_bytes
         )
 
-    def instructions_with_loss(
-        self, wire: RequestWire, loss_probability: float
-    ) -> float:
-        """Expected transaction cost on a link losing packets i.i.d.
-
-        Each lost segment is retransmitted by the kernel until it gets
-        through — 1/(1-p) expected transmissions — re-incurring the
-        per-packet and per-byte (checksum) work but not the fixed
-        per-transaction cost.  With ``loss_probability`` 0 this equals
-        :meth:`instructions_for`.
-        """
-        if not 0.0 <= loss_probability < 1.0:
-            raise ConfigurationError("loss probability must be in [0, 1)")
-        inflation = 1.0 / (1.0 - loss_probability)
-        return self.per_transaction_instructions + inflation * (
-            self.per_packet_instructions * wire.total_packets
-            + self.per_byte_instructions * wire.total_payload
-        )
-
 
 DEFAULT_TCP_COSTS = TcpCostModel()

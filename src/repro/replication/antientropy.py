@@ -20,9 +20,9 @@ membership, so the sweeper memoises them per key until the ring's
 membership generation moves; the fold itself stays per sweep, because
 versions change between sweeps.
 
-:meth:`AntiEntropySweeper.install` schedules sweeps as recurring events
-on a :class:`~repro.sim.events.Simulator`, which is how the full-system
-DES runs it.
+The full-system DES schedules the sweeps itself
+(``QuorumPath.install_antientropy`` in :mod:`repro.sim.quorum`), because
+it also charges each sweep's repair cost to the cores.
 """
 
 from __future__ import annotations
@@ -259,15 +259,3 @@ class AntiEntropySweeper:
             repairs_by_node=repairs_by_node,
             bytes_by_node=bytes_by_node,
         )
-
-    def install(self, sim, interval_s: float, horizon_s: float) -> None:
-        """Schedule recurring sweeps on a DES until the horizon.
-
-        ``sim`` is duck-typed to :class:`repro.sim.events.Simulator`
-        (needs ``recurring``).  The first sweep fires at
-        ``interval_s``, not at zero — an empty cluster has nothing to
-        reconverge.
-        """
-        if interval_s <= 0:
-            raise ConfigurationError("anti-entropy interval must be positive")
-        sim.recurring(interval_s, lambda _t: self.sweep(), horizon_s)

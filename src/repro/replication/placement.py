@@ -22,7 +22,6 @@ from typing import Callable, Container, Iterable
 
 from repro.errors import ConfigurationError
 from repro.kvstore.consistent_hash import ConsistentHashRing
-from repro.replication.config import QuorumConfig
 
 #: Most keys a per-key placement memo holds.  Insertion stops at the cap
 #: (as ``hashing._DIGEST_CACHE_MAX`` does for key digests), so a
@@ -56,15 +55,6 @@ class ReplicaPlacement:
         self._memo: dict[bytes, tuple[str, ...]] = {}
         self._groups: dict[tuple[str, ...], tuple[str, ...]] = {}
         self._generation = ring.generation
-
-    @classmethod
-    def for_quorum(
-        cls,
-        ring: ConsistentHashRing,
-        quorum: QuorumConfig,
-        stack_of: Callable[[str], str] = default_stack_of,
-    ) -> "ReplicaPlacement":
-        return cls(ring, quorum.n, stack_of)
 
     def replicas_for(
         self, key: bytes, exclude: Iterable[str] = ()

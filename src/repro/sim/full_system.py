@@ -290,19 +290,6 @@ class FullSystemResults:
                 return max(0.0, start_s - after_s)
         return None
 
-    # Component totals kept as named accessors for the Fig. 4 consumers.
-    @property
-    def hash_time_s(self) -> float:
-        return self.component_seconds.get("hash", 0.0)
-
-    @property
-    def memcached_time_s(self) -> float:
-        return self.component_seconds.get("memcached", 0.0)
-
-    @property
-    def network_time_s(self) -> float:
-        return self.component_seconds.get("network", 0.0)
-
     def breakdown_fractions(self) -> dict[str, float]:
         """Measured Fig. 4-style component shares of total service time."""
         total = sum(self.component_seconds.values())

@@ -370,10 +370,6 @@ class EnergyMeter:
     def throttled(self) -> bool:
         return self._throttle is not None and self._throttle.active
 
-    def attach_sink(self, sink: Callable) -> None:
-        """``sink(event, alert, now_s)`` with event in {"fire", "clear"}."""
-        self._sinks.append(sink)
-
     # --- alert lifecycle ----------------------------------------------------
 
     def _emit(self, event: str, alert: Alert, now_s: float) -> None:

@@ -179,10 +179,6 @@ class StreamingHistogram:
 
     # --- exemplars ---------------------------------------------------------------
 
-    def exemplar_for(self, value: float) -> object | None:
-        """The exemplar stored in the bucket ``value`` would land in."""
-        return self.exemplars.get(self._index(value))
-
     def exemplars_above(self, threshold: float) -> list[object]:
         """Exemplars from every bucket that can hold values above
         ``threshold`` (ascending bucket order) — e.g. trace ids of
@@ -502,8 +498,6 @@ METRIC_DESCRIPTIONS: dict[str, str] = {
     "nodes_down": "Nodes currently crashed",
     "nic_mac_drops_total": "Frames dropped because the MAC buffer was full",
     "nic_mac_forwarded_total": "Frames forwarded from the MAC to a core",
-    "nic_link_drops_total": "Frames lost on the link by fault injection",
-    "nic_link_corruptions_total": "Frames that failed the FCS after injected corruption",
     "nic_mac_buffered_bytes": "Bytes currently buffered in the on-stack MAC",
     "replication_replica_writes_total": "Physical replica copies written for logical PUTs",
     "replication_redirected_reads_total": "GETs served by a non-primary replica",

@@ -96,6 +96,25 @@ class TestExport:
         assert panels[0]["x"][0] == "64"
 
 
+class TestExportIntoNewDirectory:
+    """Every --export creates the directories its path names."""
+
+    FAST_RUN = ("--cores", "2", "--load", "0.02", "--duration", "0.3",
+                "--window", "0.1", "--memory-mb", "4")
+
+    @pytest.mark.parametrize("argv, name", [
+        (("table1",), "t.csv"),
+        (("fig4",), "f.json"),
+        (("faults", *FAST_RUN), "f.json"),
+        (("replication", "--replicas", "1", *FAST_RUN), "r.json"),
+    ], ids=["table", "figure", "faults", "replication"])
+    def test_export_creates_parent_directories(self, capsys, tmp_path, argv, name):
+        path = tmp_path / "new" / "dir" / name
+        out = run(capsys, *argv, "--export", str(path))
+        assert out.strip() == f"wrote {path}"
+        assert path.stat().st_size > 0
+
+
 class TestPareto:
     def test_default_frontier(self, capsys):
         out = run(capsys, "pareto")
