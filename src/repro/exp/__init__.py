@@ -27,8 +27,6 @@ from repro.exp.spec import (
     KINDS,
     ExperimentSpec,
     StackSpec,
-    workload_from_dict,
-    workload_to_dict,
 )
 
 __all__ = [
@@ -49,6 +47,4 @@ __all__ = [
     "get_scenario",
     "run_experiments",
     "scenario_names",
-    "workload_from_dict",
-    "workload_to_dict",
 ]

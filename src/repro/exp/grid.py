@@ -13,8 +13,9 @@ from __future__ import annotations
 import copy
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
+from repro.codec import Serialisable
 from repro.errors import ConfigurationError
 from repro.exp.spec import ExperimentSpec
 
@@ -44,7 +45,7 @@ def _axis_label(value) -> str:
 
 
 @dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Serialisable):
     """A named sweep: base spec x ordered axes.
 
     ``axes`` maps dotted spec paths (e.g. ``stack.cores``,
@@ -96,32 +97,6 @@ class GridSpec:
                 job["label"] = f"{self.name}[{parts}]"
             specs.append(ExperimentSpec.from_dict(job))
         return specs
-
-    # --- serialisation ------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "base": self.base.to_dict(),
-            "axes": [[path, list(values)] for path, values in self.axes],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "GridSpec":
-        unknown = set(payload) - {"name", "base", "axes"}
-        if unknown:
-            raise ConfigurationError(f"unknown grid fields {sorted(unknown)}")
-        base = payload["base"]
-        if not isinstance(base, ExperimentSpec):
-            base = ExperimentSpec.from_dict(base)
-        return cls(
-            name=payload["name"],
-            base=base,
-            axes=tuple(
-                (path, tuple(values))
-                for path, values in payload.get("axes", ())
-            ),
-        )
 
 
 def design_point_grid(

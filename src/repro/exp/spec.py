@@ -28,13 +28,12 @@ grids are first-class specs too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
+from repro.codec import Serialisable
 from repro.core.stack import StackConfig, iridium_stack, mercury_stack
 from repro.cpu.core_model import CORTEX_A7, CORTEX_A15_1GHZ, CORTEX_A15_1_5GHZ
 from repro.errors import ConfigurationError
 from repro.sim.run_options import RunOptions
-from repro.workloads.distributions import ValueSizeDistribution
 from repro.workloads.generator import WorkloadSpec
 
 #: Job kinds the engine understands.
@@ -48,48 +47,8 @@ CORE_MODELS = {
 _FAMILIES = ("mercury", "iridium")
 
 
-def workload_to_dict(spec: WorkloadSpec) -> dict:
-    """A :class:`WorkloadSpec` as a JSON-safe dict."""
-    return {
-        "name": spec.name,
-        "get_fraction": spec.get_fraction,
-        "key_population": spec.key_population,
-        "key_skew": spec.key_skew,
-        "value_sizes": {
-            "name": spec.value_sizes.name,
-            "points": [list(point) for point in spec.value_sizes.points],
-        },
-    }
-
-
-def workload_from_dict(payload: Mapping) -> WorkloadSpec:
-    """Rebuild a :class:`WorkloadSpec` from :func:`workload_to_dict`."""
-    unknown = set(payload) - {
-        "name", "get_fraction", "key_population", "key_skew", "value_sizes"
-    }
-    if unknown:
-        raise ConfigurationError(f"unknown workload fields {sorted(unknown)}")
-    sizes = payload["value_sizes"]
-    if isinstance(sizes, ValueSizeDistribution):
-        distribution = sizes
-    else:
-        distribution = ValueSizeDistribution(
-            name=sizes["name"],
-            points=tuple(
-                (int(size), float(weight)) for size, weight in sizes["points"]
-            ),
-        )
-    return WorkloadSpec(
-        name=payload["name"],
-        get_fraction=payload.get("get_fraction", 0.9),
-        key_population=payload.get("key_population", 100_000),
-        key_skew=payload.get("key_skew", 0.99),
-        value_sizes=distribution,
-    )
-
-
 @dataclass(frozen=True)
-class StackSpec:
+class StackSpec(Serialisable):
     """A 3D-stack design point, by name rather than by object.
 
     ``family``/``cores``/``core``/``has_l2`` pick the
@@ -124,36 +83,9 @@ class StackSpec:
             cores=self.cores, core=CORE_MODELS[self.core], has_l2=self.has_l2
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "cores": self.cores,
-            "core": self.core,
-            "has_l2": self.has_l2,
-            "memory_per_core_bytes": self.memory_per_core_bytes,
-            "max_queue_per_core": self.max_queue_per_core,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "StackSpec":
-        unknown = set(payload) - {
-            "family", "cores", "core", "has_l2",
-            "memory_per_core_bytes", "max_queue_per_core",
-        }
-        if unknown:
-            raise ConfigurationError(f"unknown stack fields {sorted(unknown)}")
-        return cls(
-            family=payload.get("family", "mercury"),
-            cores=payload.get("cores", 4),
-            core=payload.get("core", CORTEX_A7.name),
-            has_l2=payload.get("has_l2", True),
-            memory_per_core_bytes=payload.get("memory_per_core_bytes"),
-            max_queue_per_core=payload.get("max_queue_per_core", 256),
-        )
-
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(Serialisable):
     """One experiment job, fully described by data.
 
     ``label`` is display-only (progress lines, tables) and excluded from
@@ -199,59 +131,6 @@ class ExperimentSpec:
                 (str(name), float(factor))
                 for name, factor in self.calibration_scale
             ),
-        )
-
-    # --- serialisation ------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "stack": self.stack.to_dict(),
-            "seed": self.seed,
-            "workload": (
-                workload_to_dict(self.workload) if self.workload else None
-            ),
-            "options": self.options.to_dict() if self.options else None,
-            "verb": self.verb,
-            "value_bytes": self.value_bytes,
-            "calibration_scale": [
-                [name, factor] for name, factor in self.calibration_scale
-            ],
-            "label": self.label,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "ExperimentSpec":
-        unknown = set(payload) - {
-            "kind", "stack", "seed", "workload", "options", "verb",
-            "value_bytes", "calibration_scale", "label",
-        }
-        if unknown:
-            raise ConfigurationError(
-                f"unknown experiment fields {sorted(unknown)}"
-            )
-        stack = payload.get("stack") or {}
-        if not isinstance(stack, StackSpec):
-            stack = StackSpec.from_dict(stack)
-        workload = payload.get("workload")
-        if workload is not None and not isinstance(workload, WorkloadSpec):
-            workload = workload_from_dict(workload)
-        options = payload.get("options")
-        if options is not None and not isinstance(options, RunOptions):
-            options = RunOptions.from_dict(options)
-        return cls(
-            kind=payload["kind"],
-            stack=stack,
-            seed=payload.get("seed", 0),
-            workload=workload,
-            options=options,
-            verb=payload.get("verb", "GET"),
-            value_bytes=payload.get("value_bytes", 64),
-            calibration_scale=tuple(
-                (name, factor)
-                for name, factor in payload.get("calibration_scale", ())
-            ),
-            label=payload.get("label", ""),
         )
 
     # --- execution ----------------------------------------------------------

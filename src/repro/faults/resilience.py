@@ -22,11 +22,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.codec import Serialisable
 from repro.errors import ConfigurationError
 
 
 @dataclass(frozen=True)
-class ResiliencePolicy:
+class ResiliencePolicy(Serialisable):
     """Knobs for a resilient Memcached client.
 
     ``request_timeout_s`` bounds one attempt; up to ``max_retries``

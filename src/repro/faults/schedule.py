@@ -18,10 +18,11 @@ turns a schedule into simulator events and per-request decisions.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
+from repro.codec import Serialisable, inf_as_null
 from repro.errors import ConfigurationError
 
 #: Fault kinds understood by the injector.  ``node`` faults target one
@@ -44,7 +45,7 @@ _WINDOW_KINDS = frozenset(
 
 
 @dataclass(frozen=True)
-class FaultEvent:
+class FaultEvent(Serialisable):
     """One scheduled fault.
 
     ``at_s`` is when the fault takes effect.  Window faults (loss,
@@ -56,7 +57,7 @@ class FaultEvent:
     kind: str
     at_s: float
     node: str = ""
-    until_s: float = float("inf")
+    until_s: float = inf_as_null()
     probability: float = 0.0
     factor: float = 1.0
 
@@ -80,27 +81,9 @@ class FaultEvent:
         """Which memory technology a degradation fault applies to."""
         return "flash" if self.kind == "flash_wearout" else "dram"
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        if d["until_s"] == float("inf"):
-            d["until_s"] = None
-        return d
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultEvent":
-        payload = dict(data)
-        if payload.get("until_s") is None:
-            payload["until_s"] = float("inf")
-        unknown = set(payload) - {
-            "kind", "at_s", "node", "until_s", "probability", "factor"
-        }
-        if unknown:
-            raise ConfigurationError(f"unknown fault fields {sorted(unknown)}")
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
-class FaultSchedule:
+class FaultSchedule(Serialisable):
     """An ordered collection of fault events for one run."""
 
     name: str
@@ -149,18 +132,8 @@ class FaultSchedule:
 
     # --- (de)serialisation ------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "events": [e.to_dict() for e in self.events]}
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultSchedule":
-        return cls(
-            name=data.get("name", ""),
-            events=tuple(FaultEvent.from_dict(e) for e in data.get("events", ())),
-        )
 
     @classmethod
     def from_json(cls, text: str) -> "FaultSchedule":

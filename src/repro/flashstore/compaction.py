@@ -23,25 +23,17 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
+from repro.codec import Serialisable
 from repro.errors import ConfigurationError
 from repro.flashstore.hashstore import HashStore
 from repro.flashstore.logstore import LogStore
 from repro.flashstore.sortedstore import SortedStore
 from repro.memory.flash import FlashDevice
 
-_CONFIG_FIELDS = (
-    "log_segment_pages",
-    "max_hash_stores",
-    "fingerprint_bits",
-    "sorted_fingerprint_bits",
-    "expected_item_bytes",
-)
-
-
 @dataclass(frozen=True)
-class TieredStoreConfig:
+class TieredStoreConfig(Serialisable):
     """The tiered store's knobs, serialisable for the experiment cache.
 
     ``log_segment_pages`` sizes the write tier (seal + conversion
@@ -69,18 +61,6 @@ class TieredStoreConfig:
                 raise ConfigurationError(f"{name} must be in [4, 32]")
         if self.expected_item_bytes < 1:
             raise ConfigurationError("expected_item_bytes must be positive")
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _CONFIG_FIELDS}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "TieredStoreConfig":
-        unknown = set(payload) - set(_CONFIG_FIELDS)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown TieredStoreConfig fields {sorted(unknown)}"
-            )
-        return cls(**dict(payload))
 
 
 @dataclass(frozen=True)

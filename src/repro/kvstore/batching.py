@@ -22,8 +22,9 @@ share one wire op but each submitted future still resolves exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any
 
+from repro.codec import Serialisable
 from repro.errors import ConfigurationError, ProtocolError
 
 #: Hard ceiling on ops per batch, shared by every wire format (the
@@ -39,7 +40,7 @@ FLUSH_REASONS = (FLUSH_SIZE, FLUSH_LINGER, FLUSH_BARRIER)
 
 
 @dataclass(frozen=True)
-class BatchPolicy:
+class BatchPolicy(Serialisable):
     """The batching knobs: how big, how long, and whether GETs dedup.
 
     ``batch_max`` caps ops per flush (1 = every op flushes immediately,
@@ -66,26 +67,6 @@ class BatchPolicy:
     def enabled(self) -> bool:
         """Whether this policy batches at all (more than one op per flush)."""
         return self.batch_max > 1
-
-    def to_dict(self) -> dict:
-        return {
-            "batch_max": self.batch_max,
-            "linger_s": self.linger_s,
-            "dedup_gets": self.dedup_gets,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "BatchPolicy":
-        unknown = set(payload) - {"batch_max", "linger_s", "dedup_gets"}
-        if unknown:
-            raise ConfigurationError(
-                f"unknown BatchPolicy fields {sorted(unknown)}"
-            )
-        return cls(
-            batch_max=payload.get("batch_max", 1),
-            linger_s=payload.get("linger_s", 0.0),
-            dedup_gets=payload.get("dedup_gets", True),
-        )
 
 
 class BatchFuture:

@@ -302,6 +302,17 @@ def render_response(response: Response) -> bytes:
     return bytes(out)
 
 
+def reply_len(status: str, key_len: int = 0, value_len: int | None = None) -> int:
+    """``len(render_response(...))`` for a reply of one flags-0, CAS-free
+    ``value_len``-byte value under a ``key_len``-byte key (no value when
+    ``value_len`` is None), then the ``status`` line."""
+    length = len(status) + 2
+    if value_len is not None:
+        # b"VALUE <key> 0 <value_len>\r\n<data>\r\n"
+        length += 13 + key_len + len(str(value_len)) + value_len
+    return length
+
+
 def _parse_values(
     blob: bytes,
 ) -> tuple[list[tuple[bytes, int, bytes, int | None]], bytes]:

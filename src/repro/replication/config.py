@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.codec import Serialisable
 from repro.errors import ConfigurationError
 
 
@@ -49,7 +50,7 @@ class QuorumConfig:
 
 
 @dataclass(frozen=True)
-class ReplicationConfig:
+class ReplicationConfig(Serialisable):
     """Everything the full-system DES needs to run replicated.
 
     ``n``/``r``/``w`` are the quorum triple.  ``hinted_handoff`` parks

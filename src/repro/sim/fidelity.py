@@ -49,8 +49,8 @@ request hedging, causal tracing) disable fast-forward for the whole run
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
 
+from repro.codec import Serialisable
 from repro.errors import ConfigurationError
 from repro.faults.schedule import FaultSchedule
 from repro.telemetry.metrics import describe_metric
@@ -79,19 +79,8 @@ describe_metric(
     "1 while the run is inside a fluid fast-forward window, else 0",
 )
 
-#: Serialisable fields, in canonical dict order.
-_FIELDS = (
-    "mode",
-    "guard_band_s",
-    "calibration_s",
-    "min_fluid_window_s",
-    "max_fluid_step_s",
-    "max_utilization",
-)
-
-
 @dataclass(frozen=True)
-class FidelityPolicy:
+class FidelityPolicy(Serialisable):
     """When and how aggressively a run may fast-forward.
 
     ``guard_band_s`` widens every fault-derived DES island on both
@@ -127,20 +116,6 @@ class FidelityPolicy:
             raise ConfigurationError("max_fluid_step_s must be positive")
         if not 0.0 < self.max_utilization < 1.0:
             raise ConfigurationError("max_utilization must be in (0, 1)")
-
-    # --- serialisation ------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _FIELDS}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "FidelityPolicy":
-        unknown = set(payload) - set(_FIELDS)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown FidelityPolicy fields {sorted(unknown)}"
-            )
-        return cls(**dict(payload))
 
 
 def plan_segments(

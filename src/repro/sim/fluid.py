@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.kvstore.protocol import reply_len
+from repro.kvstore.store import StoreResult
 from repro.sim.fidelity import (
     FidelityPolicy,
     allocate_proportional,
@@ -87,7 +89,8 @@ class FluidFold:
         # ring is intact — which every window-entry guard ensures.
         self.key_core: dict[bytes, int] = {}
         self.payloads: dict[int, bytes] = {}
-        self.digits: dict[int, int] = {}
+        # Value length -> GET-hit reply bytes, less the key's length.
+        self.hit_reply_lens: dict[int, int] = {}
         step_limit = fidelity.max_fluid_step_s
         if pipe.timeseries is not None:
             step_limit = min(step_limit, pipe.timeseries.interval_s)
@@ -257,7 +260,10 @@ class FluidFold:
         _next_raw = pipe.generator.next_raw
         key_core = self.key_core
         payload_cache = self.payloads
-        digits_cache = self.digits
+        hit_reply_lens = self.hit_reply_lens
+        miss_reply_len = reply_len("END")
+        stored = StoreResult.STORED
+        stored_len = reply_len(stored.value)
 
         cursor = seg_start
         broke: str | None = None
@@ -290,15 +296,15 @@ class FluidFold:
                         hit = True
                         hits += 1
                         vlen = len(item.value)
-                        digits = digits_cache.get(vlen)
-                        if digits is None:
-                            digits = len(str(vlen))
-                            digits_cache[vlen] = digits
-                        resp_len = 18 + len(key) + vlen + digits
+                        resp_len = hit_reply_lens.get(vlen)
+                        if resp_len is None:
+                            resp_len = reply_len("END", 0, vlen)
+                            hit_reply_lens[vlen] = resp_len
+                        resp_len += len(key)
                     else:
                         hit = False
                         misses += 1
-                        resp_len = 5
+                        resp_len = miss_reply_len
                         if fill_on_miss:
                             payload = payload_cache.get(size)
                             if payload is None:
@@ -318,7 +324,8 @@ class FluidFold:
                         payload = b"x" * size
                         payload_cache[size] = payload
                     result = store_sets[core](key, payload)
-                    resp_len = len(result.value) + 2
+                    resp_len = (stored_len if result is stored
+                                else reply_len(result.value))
                     served = size
                 resp_bytes += resp_len
                 op = served << 1 | is_get

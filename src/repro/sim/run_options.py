@@ -4,24 +4,26 @@
 arguments — unpicklable as a job description and unhashable as a cache
 key.  :class:`RunOptions` consolidates them: the *configuration* half
 (rates, durations, fault schedules, quorum settings) is plain data that
-round-trips exactly through :meth:`to_dict`/:meth:`from_dict`, which is
-what lets the experiment engine (:mod:`repro.exp`) ship runs to worker
-processes and content-address their results on disk.
+round-trips exactly through ``to_dict``/``from_dict`` (:mod:`repro.codec`),
+which is what lets the experiment engine (:mod:`repro.exp`) ship runs to
+worker processes and content-address their results on disk.
 
 The *instrument* half (telemetry session, time-series recorder, SLO
-monitor, profiler) is live-object state that observes a run without
-changing its outcome.  Instruments ride along on the same options object
-for call-site convenience but are excluded from equality and from
-serialisation — two options values that differ only in instruments
-describe the same simulation.
+monitor, profiler, energy meter) is live-object state that observes a
+run without changing its outcome.  Instruments ride along on the same
+options object for call-site convenience but are excluded from equality
+and from serialisation — two options values that differ only in
+instruments describe the same simulation.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping
+import math
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
+from repro.codec import Serialisable, instrument, instrument_names, omit_at_default
 from repro.errors import ConfigurationError
 from repro.faults.resilience import ResiliencePolicy
 from repro.faults.schedule import FaultSchedule
@@ -37,40 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.slo import SloMonitor
     from repro.telemetry.timeseries import TimeSeriesRecorder
     from repro.telemetry.tracing import TelemetrySession
-
-#: Serialisable configuration fields, in canonical dict order.
-_CONFIG_FIELDS = (
-    "offered_rate_hz",
-    "duration_s",
-    "warmup_requests",
-    "keep_samples",
-    "window_s",
-    "fill_on_miss",
-    "faults",
-    "resilience",
-    "replication",
-    "trace_digest",
-    "batching",
-    "flashstore",
-    "energy_summary",
-    "diurnal",
-    "fidelity",
-)
-
-#: Live observers excluded from equality, hashing, and serialisation.
-_INSTRUMENT_FIELDS = ("telemetry", "timeseries", "slo", "profiler", "energy")
-
-#: Sub-configuration fields: their type and the parser of their
-#: :meth:`RunOptions.to_dict` form.
-_SUB_CONFIGS = {
-    "faults": (FaultSchedule, FaultSchedule.from_dict),
-    "resilience": (ResiliencePolicy, lambda d: ResiliencePolicy(**d)),
-    "replication": (ReplicationConfig, lambda d: ReplicationConfig(**d)),
-    "batching": (BatchPolicy, BatchPolicy.from_dict),
-    "flashstore": (TieredStoreConfig, TieredStoreConfig.from_dict),
-    "diurnal": (DiurnalSchedule, DiurnalSchedule.from_dict),
-    "fidelity": (FidelityPolicy, FidelityPolicy.from_dict),
-}
 
 #: When each optional feature of a run is on.  The two tables below name
 #: features by these keys.
@@ -125,7 +93,7 @@ NO_FLUID_FOLD = (
 
 
 @dataclass(frozen=True)
-class RunOptions:
+class RunOptions(Serialisable):
     """Everything one :meth:`FullSystemStack.run` needs beyond the workload.
 
     ``offered_rate_hz`` and ``duration_s`` define the Poisson arrival
@@ -155,12 +123,15 @@ class RunOptions:
     run fast-forward steady-state stretches through the fluid model;
     ``None`` keeps the historical pure-DES path (and the historical
     cache keys) bit-identical.  A value that turns on a pair of features
-    in :data:`REFUSED_PAIRS` cannot be built.
+    in :data:`REFUSED_PAIRS` cannot be built, nor can one whose rate,
+    duration or window is not finite and positive.  The six fields from
+    ``trace_digest`` on are written only when set, so runs that leave
+    them unset keep the cache keys they had before the fields existed.
 
     ``telemetry``/``timeseries``/``slo``/``profiler``/``energy`` are
     instruments:
     they observe without perturbing, never travel through
-    :meth:`to_dict`, and are ignored by ``==``.  Attach them with
+    ``to_dict``, and are ignored by ``==``.  Attach them with
     :meth:`with_instruments` when reusing a serialised options value.
     """
 
@@ -173,31 +144,29 @@ class RunOptions:
     faults: FaultSchedule | None = None
     resilience: ResiliencePolicy | None = None
     replication: ReplicationConfig | None = None
-    trace_digest: bool = False
-    batching: BatchPolicy | None = None
-    flashstore: TieredStoreConfig | None = None
-    energy_summary: bool = False
-    diurnal: DiurnalSchedule | None = None
-    fidelity: FidelityPolicy | None = None
-    telemetry: "TelemetrySession | None" = field(
-        default=None, compare=False, repr=False
-    )
-    timeseries: "TimeSeriesRecorder | None" = field(
-        default=None, compare=False, repr=False
-    )
-    slo: "SloMonitor | None" = field(default=None, compare=False, repr=False)
-    profiler: "SimProfiler | None" = field(
-        default=None, compare=False, repr=False
-    )
-    energy: "EnergyMeter | None" = field(default=None, compare=False, repr=False)
+    trace_digest: bool = omit_at_default(False)
+    batching: BatchPolicy | None = omit_at_default(None)
+    flashstore: TieredStoreConfig | None = omit_at_default(None)
+    energy_summary: bool = omit_at_default(False)
+    diurnal: DiurnalSchedule | None = omit_at_default(None)
+    fidelity: FidelityPolicy | None = omit_at_default(None)
+    telemetry: "TelemetrySession | None" = instrument()
+    timeseries: "TimeSeriesRecorder | None" = instrument()
+    slo: "SloMonitor | None" = instrument()
+    profiler: "SimProfiler | None" = instrument()
+    energy: "EnergyMeter | None" = instrument()
 
     def __post_init__(self) -> None:
-        if self.offered_rate_hz <= 0 or self.duration_s <= 0:
-            raise ConfigurationError("rate and duration must be positive")
+        for name in ("offered_rate_hz", "duration_s", "window_s"):
+            value = getattr(self, name)
+            if value is None and name == "window_s":
+                continue
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(
+                    f"{name} must be finite and positive, got {value!r}"
+                )
         if self.warmup_requests < 0:
             raise ConfigurationError("warmup_requests cannot be negative")
-        if self.window_s is not None and self.window_s <= 0:
-            raise ConfigurationError("window_s must be positive")
         for first, second, reason in REFUSED_PAIRS:
             if self.uses(first) and self.uses(second):
                 raise ConfigurationError(
@@ -218,76 +187,13 @@ class RunOptions:
             (feature for feature in NO_FLUID_FOLD if self.uses(feature)), None
         )
 
-    # --- serialisation ------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """The configuration half as a JSON-safe dict (instruments are
-        runtime-only and never serialised)."""
-        payload: dict[str, Any] = {
-            "offered_rate_hz": self.offered_rate_hz,
-            "duration_s": self.duration_s,
-            "warmup_requests": self.warmup_requests,
-            "keep_samples": self.keep_samples,
-            "window_s": self.window_s,
-            "fill_on_miss": self.fill_on_miss,
-            "faults": self.faults.to_dict() if self.faults else None,
-            "resilience": (
-                dataclasses.asdict(self.resilience) if self.resilience else None
-            ),
-            "replication": (
-                dataclasses.asdict(self.replication) if self.replication else None
-            ),
-        }
-        if self.trace_digest:
-            # Only serialised when set: dicts (and therefore experiment
-            # cache keys) for digest-free runs stay byte-identical to
-            # those written before the field existed.
-            payload["trace_digest"] = True
-        if self.batching is not None:
-            # Same conditional-serialisation rule as trace_digest, same
-            # reason: batch-free cache keys must not change.
-            payload["batching"] = self.batching.to_dict()
-        if self.flashstore is not None:
-            # Same conditional-serialisation rule again: runs without
-            # the tiered store keep their pre-flashstore cache keys.
-            payload["flashstore"] = self.flashstore.to_dict()
-        if self.energy_summary:
-            # Conditional for the same cache-key stability reason.
-            payload["energy_summary"] = True
-        if self.diurnal is not None:
-            payload["diurnal"] = self.diurnal.to_dict()
-        if self.fidelity is not None:
-            # Conditional like the rest: fidelity-free runs keep their
-            # historical cache keys, and fidelity IS part of the key —
-            # hybrid results are within-tolerance, not bit-identical, so
-            # they must never alias a full-DES cell.
-            payload["fidelity"] = self.fidelity.to_dict()
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "RunOptions":
-        """Rebuild options from :meth:`to_dict` output (exact round trip)."""
-        unknown = set(payload) - set(_CONFIG_FIELDS)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown RunOptions fields {sorted(unknown)}"
-            )
-        data = dict(payload)
-        for key in ("offered_rate_hz", "duration_s"):
-            if key not in data:
-                raise ConfigurationError(f"RunOptions dict needs {key!r}")
-        for name, (kind, parse) in _SUB_CONFIGS.items():
-            value = data.get(name)
-            if value is not None and not isinstance(value, kind):
-                data[name] = parse(value)
-        return cls(**data)
-
     # --- ergonomics ---------------------------------------------------------
 
     @property
     def has_instruments(self) -> bool:
         return any(
-            getattr(self, name) is not None for name in _INSTRUMENT_FIELDS
+            getattr(self, name) is not None
+            for name in instrument_names(RunOptions)
         )
 
     def with_instruments(
@@ -311,10 +217,5 @@ class RunOptions:
     def without_instruments(self) -> "RunOptions":
         """A copy with every instrument detached (the serialisable core)."""
         return dataclasses.replace(
-            self,
-            telemetry=None,
-            timeseries=None,
-            slo=None,
-            profiler=None,
-            energy=None,
+            self, **dict.fromkeys(instrument_names(RunOptions))
         )

@@ -16,6 +16,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 
+from repro.codec import Serialisable
 from repro.errors import ConfigurationError
 
 
@@ -68,13 +69,16 @@ class ZipfKeys:
 
 
 @dataclass(frozen=True)
-class ValueSizeDistribution:
+class ValueSizeDistribution(Serialisable):
     """A discrete mixture of value sizes: (size_bytes, weight) pairs."""
 
     name: str
     points: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
+        # Normalise so dict-built and directly-built values serialise alike.
+        points = tuple((int(size), float(weight)) for size, weight in self.points)
+        object.__setattr__(self, "points", points)
         if not self.points:
             raise ConfigurationError("distribution needs at least one point")
         if any(size <= 0 or weight < 0 for size, weight in self.points):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.codec import Serialisable
 from repro.errors import ConfigurationError
 
 
@@ -67,7 +68,7 @@ NETFLIX_LIKE = DiurnalTraffic(peak_rate_hz=1.0e6, trough_fraction=0.3)
 
 
 @dataclass(frozen=True)
-class DiurnalSchedule:
+class DiurnalSchedule(Serialisable):
     """A 24-hour curve compressed onto a simulated run, serialisably.
 
     :class:`DiurnalTraffic` speaks in wall-clock hours; a DES run lasts
@@ -102,16 +103,3 @@ class DiurnalSchedule:
     def mean_factor(self) -> float:
         """Average multiplier over one full day (cosine integrates out)."""
         return (1.0 + self.trough_fraction) / 2.0
-
-    def to_dict(self) -> dict:
-        return {
-            "day_length_s": self.day_length_s,
-            "trough_fraction": self.trough_fraction,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "DiurnalSchedule":
-        return cls(
-            day_length_s=payload["day_length_s"],
-            trough_fraction=payload.get("trough_fraction", 0.3),
-        )

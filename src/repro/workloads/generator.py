@@ -13,6 +13,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.codec import Serialisable
 from repro.errors import ConfigurationError
 from repro.sim.rng import make_rng
 from repro.workloads.distributions import ValueSizeDistribution, ZipfKeys, fixed_size
@@ -34,7 +35,7 @@ class Request:
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(Serialisable):
     """Parameters of a synthetic Memcached workload."""
 
     name: str

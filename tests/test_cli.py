@@ -1,8 +1,16 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+from repro.errors import ConfigurationError
 
 
 def run(capsys, *argv: str) -> str:
@@ -175,6 +183,33 @@ class TestTelemetry:
         ]
         assert len(rows) >= 5
         assert any(row.get("requests_completed_total", 0) > 0 for row in rows)
+
+
+class TestRejectedInput:
+    def test_faults_schedule_with_misspelt_key_rejected(self, tmp_path):
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps({
+            "name": "typo",
+            "evnts": [{"kind": "node_crash", "at_s": 0.01, "node": "core0"}],
+        }))
+        with pytest.raises(ConfigurationError, match="evnts"):
+            main(["faults", "--schedule", str(path), "--cores", "2",
+                  "--duration", "0.05", "--memory-mb", "4"])
+
+    @pytest.mark.parametrize("flag,value", [("--duration", "inf"),
+                                            ("--load", "nan")])
+    def test_non_finite_run_flag_exits_promptly(self, flag, value, tmp_path):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "telemetry", "--cores", "1",
+             "--memory-mb", "4", flag, value, "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode != 0
+        assert "must be finite and positive" in proc.stderr
 
 
 class TestSweep:

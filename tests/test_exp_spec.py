@@ -11,7 +11,6 @@ from repro.core.server import ServerDesign
 from repro.core.stack import mercury_stack
 from repro.errors import ConfigurationError
 from repro.exp import CORE_MODELS, ExperimentSpec, GridSpec, StackSpec, design_point_grid
-from repro.exp.spec import workload_from_dict, workload_to_dict
 from repro.sim.run_options import RunOptions
 from repro.telemetry import TelemetrySession
 from repro.workloads import WorkloadSpec
@@ -67,12 +66,12 @@ class TestWorkloadSerialisation:
             name="w", get_fraction=0.8, key_population=500,
             value_sizes=fixed_size(128),
         )
-        assert workload_from_dict(workload_to_dict(workload)) == workload
+        assert WorkloadSpec.from_dict(workload.to_dict()) == workload
 
     def test_etc_distribution_round_trip(self):
         workload = WorkloadSpec(name="etc", value_sizes=ETC_VALUE_SIZES)
-        rebuilt = workload_from_dict(
-            json.loads(json.dumps(workload_to_dict(workload)))
+        rebuilt = WorkloadSpec.from_dict(
+            json.loads(json.dumps(workload.to_dict()))
         )
         assert rebuilt == workload
         assert rebuilt.value_sizes.points == ETC_VALUE_SIZES.points

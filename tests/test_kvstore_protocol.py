@@ -7,12 +7,17 @@ from hypothesis import strategies as st
 from repro.errors import ProtocolError
 from repro.kvstore import (
     Command,
+    KVStore,
     Response,
     parse_command,
     parse_response,
     render_command,
     render_response,
 )
+from repro.kvstore.protocol import reply_len
+from repro.kvstore.server_loop import MemcachedServer
+from repro.kvstore.store import StoreResult
+from repro.units import MB
 
 safe_keys = st.lists(
     st.integers(min_value=33, max_value=126), min_size=1, max_size=64
@@ -202,3 +207,36 @@ class TestResponses:
     def test_parse_empty_raises(self):
         with pytest.raises(ProtocolError):
             parse_response(b"no terminator")
+
+
+class TestReplyLen:
+    """``reply_len`` against the bytes a connection actually returns."""
+
+    @staticmethod
+    def _set(connection, key: bytes, value_len: int) -> bytes:
+        value = b"x" * value_len
+        return connection.feed(b"set %s 0 0 %d\r\n%s\r\n" % (key, value_len, value))
+
+    @pytest.mark.parametrize("value_len", [0, 1, 9, 10, 64, 999, 4096, 100_000])
+    @pytest.mark.parametrize("key", [b"k", b"key-12345", b"k" * 250])
+    def test_hit(self, key, value_len):
+        connection = MemcachedServer(KVStore(4 * MB)).connect()
+        self._set(connection, key, value_len)
+        reply = connection.feed(b"get %s\r\n" % key)
+        assert reply.startswith(b"VALUE ")
+        assert reply_len("END", len(key), value_len) == len(reply)
+
+    def test_miss(self):
+        connection = MemcachedServer(KVStore(4 * MB)).connect()
+        assert reply_len("END") == len(connection.feed(b"get absent\r\n"))
+
+    def test_stored(self):
+        connection = MemcachedServer(KVStore(4 * MB)).connect()
+        reply = self._set(connection, b"k", 64)
+        assert reply_len(StoreResult.STORED.value) == len(reply)
+
+    def test_out_of_memory(self):
+        connection = MemcachedServer(KVStore(4 * MB)).connect()
+        reply = self._set(connection, b"k", 2 * MB)
+        assert reply.startswith(b"SERVER_ERROR")
+        assert reply_len(StoreResult.OUT_OF_MEMORY.value) == len(reply)

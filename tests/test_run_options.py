@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +61,15 @@ class TestValidation:
     def test_missing_required_dict_field_rejected(self):
         with pytest.raises(ConfigurationError, match="offered_rate_hz"):
             RunOptions.from_dict({"duration_s": 1.0})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["offered_rate_hz", "duration_s", "window_s"])
+    def test_non_finite_value_rejected_when_built(self, name, value):
+        fields = {"offered_rate_hz": 1000.0, "duration_s": 1.0, name: value}
+        with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+            RunOptions(**fields)
+        with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+            RunOptions.from_dict(fields)
 
 
 #: The refused feature pairs, each as the RunOptions fields that turn
