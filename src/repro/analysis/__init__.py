@@ -1,93 +1,54 @@
 """Regeneration of the paper's tables and figures, plus comparisons."""
 
-from repro.analysis.tables import (
-    table1_components,
-    table2_memory_technologies,
-    table3_configurations,
-    table4_comparison,
-)
-from repro.analysis.figures import (
-    figure4_breakdown,
-    figure5_mercury_latency_sweep,
-    figure6_iridium_latency_sweep,
-    figure7_density_vs_tps,
-    figure8_power_vs_tps,
-)
-from repro.analysis.report import render_table, render_series
-from repro.analysis.compare import PAPER_HEADLINES, headline_ratios, compare_headlines
-from repro.analysis.sensitivity import sensitivity_sweep, headline_under, perturb
-from repro.analysis.validation import validate_stack, validation_table
-from repro.analysis.export import (
-    figure_to_json,
-    table_to_csv,
-    table_to_json,
-    write_artefact,
-)
-from repro.analysis.report_builder import build_report
-from repro.analysis.diurnal import DayReport, day_in_the_life, fleet_for_peak
-from repro.analysis.pareto import ParetoPoint, pareto_frontier
-from repro.analysis.crossover import (
-    find_crossover,
-    iridium_put_fraction_crossover,
-    mercury_efficiency_factor_crossover,
-    mercury_iridium_tco_crossover,
-)
-from repro.analysis.ascii_chart import bar_chart, series_chart
+from repro._lazy import lazy_exports
 
-# bench_track is also an executable module (python -m
-# repro.analysis.bench_track); importing it eagerly here would make
-# runpy warn about the module already being in sys.modules.
-_BENCH_TRACK_EXPORTS = frozenset(
-    {"append_run", "load_history", "regression_report", "render_report"}
-)
+_EXPORTS = {
+    "repro.analysis.tables": (
+        "table1_components",
+        "table2_memory_technologies",
+        "table3_configurations",
+        "table4_comparison",
+    ),
+    "repro.analysis.figures": (
+        "figure4_breakdown",
+        "figure5_mercury_latency_sweep",
+        "figure6_iridium_latency_sweep",
+        "figure7_density_vs_tps",
+        "figure8_power_vs_tps",
+    ),
+    "repro.analysis.report": ("render_table", "render_series"),
+    "repro.analysis.compare": (
+        "PAPER_HEADLINES",
+        "headline_ratios",
+        "compare_headlines",
+    ),
+    "repro.analysis.sensitivity": ("sensitivity_sweep", "headline_under", "perturb"),
+    "repro.analysis.validation": ("validate_stack", "validation_table"),
+    "repro.analysis.export": (
+        "figure_to_json",
+        "table_to_csv",
+        "table_to_json",
+        "write_artefact",
+    ),
+    "repro.analysis.report_builder": ("build_report",),
+    "repro.analysis.diurnal": ("DayReport", "day_in_the_life", "fleet_for_peak"),
+    "repro.analysis.pareto": ("ParetoPoint", "pareto_frontier"),
+    "repro.analysis.crossover": (
+        "find_crossover",
+        "iridium_put_fraction_crossover",
+        "mercury_efficiency_factor_crossover",
+        "mercury_iridium_tco_crossover",
+    ),
+    "repro.analysis.ascii_chart": ("bar_chart", "series_chart"),
+    # Also an executable module (python -m repro.analysis.bench_track):
+    # an eager import here would make runpy warn that it is already in
+    # sys.modules.
+    "repro.analysis.bench_track": (
+        "append_run",
+        "load_history",
+        "regression_report",
+        "render_report",
+    ),
+}
 
-
-def __getattr__(name):
-    if name in _BENCH_TRACK_EXPORTS:
-        from repro.analysis import bench_track
-
-        return getattr(bench_track, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "table1_components",
-    "table2_memory_technologies",
-    "table3_configurations",
-    "table4_comparison",
-    "figure4_breakdown",
-    "figure5_mercury_latency_sweep",
-    "figure6_iridium_latency_sweep",
-    "figure7_density_vs_tps",
-    "figure8_power_vs_tps",
-    "render_table",
-    "render_series",
-    "PAPER_HEADLINES",
-    "headline_ratios",
-    "compare_headlines",
-    "sensitivity_sweep",
-    "headline_under",
-    "perturb",
-    "validate_stack",
-    "validation_table",
-    "figure_to_json",
-    "table_to_csv",
-    "table_to_json",
-    "write_artefact",
-    "build_report",
-    "DayReport",
-    "day_in_the_life",
-    "fleet_for_peak",
-    "ParetoPoint",
-    "pareto_frontier",
-    "find_crossover",
-    "iridium_put_fraction_crossover",
-    "mercury_efficiency_factor_crossover",
-    "mercury_iridium_tco_crossover",
-    "bar_chart",
-    "series_chart",
-    "append_run",
-    "load_history",
-    "regression_report",
-    "render_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

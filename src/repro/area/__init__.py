@@ -1,5 +1,7 @@
 """Area and floorplan modelling for the 1.5U enclosure."""
 
-from repro.area.floorplan import Floorplan, DEFAULT_FLOORPLAN
+from repro._lazy import lazy_exports
 
-__all__ = ["Floorplan", "DEFAULT_FLOORPLAN"]
+_EXPORTS = {"repro.area.floorplan": ("Floorplan", "DEFAULT_FLOORPLAN")}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,26 +1,18 @@
 """Baseline systems Table 4 compares against."""
 
-from repro.baselines.commodity import (
-    CommodityServer,
-    MEMCACHED_14,
-    MEMCACHED_16,
-    MEMCACHED_BAGS,
-    COMMODITY_BASELINES,
-)
-from repro.baselines.tssp import TsspAccelerator, TSSP
-from repro.baselines.tilepro import TileProServer, TILEPRO64
-from repro.baselines.fawn import FawnCluster, FAWN_KV
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CommodityServer",
-    "MEMCACHED_14",
-    "MEMCACHED_16",
-    "MEMCACHED_BAGS",
-    "COMMODITY_BASELINES",
-    "TsspAccelerator",
-    "TSSP",
-    "TileProServer",
-    "TILEPRO64",
-    "FawnCluster",
-    "FAWN_KV",
-]
+_EXPORTS = {
+    "repro.baselines.commodity": (
+        "CommodityServer",
+        "MEMCACHED_14",
+        "MEMCACHED_16",
+        "MEMCACHED_BAGS",
+        "COMMODITY_BASELINES",
+    ),
+    "repro.baselines.tssp": ("TsspAccelerator", "TSSP"),
+    "repro.baselines.tilepro": ("TileProServer", "TILEPRO64"),
+    "repro.baselines.fawn": ("FawnCluster", "FAWN_KV"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 from repro.core.calibration import DEFAULT_CALIBRATION, CalibrationConstants
+from repro.cpu.cache import estimate_miss_rate
 from repro.cpu.core_model import CoreModel
 from repro.errors import ConfigurationError
 from repro.kvstore.items import ITEM_OVERHEAD_BYTES
@@ -145,8 +146,6 @@ class LatencyModel:
         cal = self.cal
         if not self.has_l2:
             return cal.ifetch_misses_without_l2
-        from repro.cpu.cache import estimate_miss_rate
-
         leak = estimate_miss_rate(self.l2_bytes, cal.instruction_footprint_bytes)
         if self.memory.is_flash:
             # §4.2.1: Iridium's L2 is sized to hold the *entire*

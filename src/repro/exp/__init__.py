@@ -12,39 +12,20 @@ object:
 * :mod:`repro.exp.scenarios` — named presets shared by the CLIs.
 """
 
-from repro.exp.cache import (
-    DEFAULT_CACHE_DIR,
-    ResultCache,
-    cache_key,
-    canonical_json,
-    constants_fingerprint,
-)
-from repro.exp.grid import GridSpec, design_point_grid
-from repro.exp.runner import ExperimentReport, run_experiments
-from repro.exp.scenarios import SCENARIOS, Scenario, get_scenario, scenario_names
-from repro.exp.spec import (
-    CORE_MODELS,
-    KINDS,
-    ExperimentSpec,
-    StackSpec,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CORE_MODELS",
-    "DEFAULT_CACHE_DIR",
-    "ExperimentReport",
-    "ExperimentSpec",
-    "GridSpec",
-    "KINDS",
-    "ResultCache",
-    "SCENARIOS",
-    "Scenario",
-    "StackSpec",
-    "cache_key",
-    "canonical_json",
-    "constants_fingerprint",
-    "design_point_grid",
-    "get_scenario",
-    "run_experiments",
-    "scenario_names",
-]
+_EXPORTS = {
+    "repro.exp.cache": (
+        "DEFAULT_CACHE_DIR",
+        "ResultCache",
+        "cache_key",
+        "canonical_json",
+        "constants_fingerprint",
+    ),
+    "repro.exp.grid": ("GridSpec", "design_point_grid"),
+    "repro.exp.runner": ("ExperimentReport", "run_experiments"),
+    "repro.exp.scenarios": ("SCENARIOS", "Scenario", "get_scenario", "scenario_names"),
+    "repro.exp.spec": ("CORE_MODELS", "KINDS", "ExperimentSpec", "StackSpec"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

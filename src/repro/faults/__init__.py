@@ -15,32 +15,24 @@ Run a scenario from the shell with ``python -m repro faults`` or from
 code via ``FullSystemStack.run(..., faults=schedule, resilience=policy)``.
 """
 
-from repro.faults.injector import FaultInjector
-from repro.faults.resilience import (
-    DEFAULT_RESILIENCE,
-    NO_RESILIENCE,
-    ResiliencePolicy,
-)
-from repro.faults.schedule import (
-    KINDS,
-    PRESETS,
-    FaultEvent,
-    FaultSchedule,
-    acceptance_schedule,
-    crash_restart,
-    lossy_link,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_RESILIENCE",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultSchedule",
-    "KINDS",
-    "NO_RESILIENCE",
-    "PRESETS",
-    "ResiliencePolicy",
-    "acceptance_schedule",
-    "crash_restart",
-    "lossy_link",
-]
+_EXPORTS = {
+    "repro.faults.injector": ("FaultInjector",),
+    "repro.faults.resilience": (
+        "DEFAULT_RESILIENCE",
+        "NO_RESILIENCE",
+        "ResiliencePolicy",
+    ),
+    "repro.faults.schedule": (
+        "KINDS",
+        "PRESETS",
+        "FaultEvent",
+        "FaultSchedule",
+        "acceptance_schedule",
+        "crash_restart",
+        "lossy_link",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

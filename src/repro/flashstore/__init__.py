@@ -25,26 +25,20 @@ background work, with per-tier read/write-amplification and
 index-bytes-per-key accounting.
 """
 
-from repro.flashstore.compaction import (
-    BackgroundWork,
-    TierOpCost,
-    TieredFlashStore,
-    TieredStoreConfig,
-    TieredStoreStats,
-)
-from repro.flashstore.filters import CuckooFilter
-from repro.flashstore.hashstore import HashStore
-from repro.flashstore.logstore import LogStore
-from repro.flashstore.sortedstore import SortedStore
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BackgroundWork",
-    "CuckooFilter",
-    "HashStore",
-    "LogStore",
-    "SortedStore",
-    "TierOpCost",
-    "TieredFlashStore",
-    "TieredStoreConfig",
-    "TieredStoreStats",
-]
+_EXPORTS = {
+    "repro.flashstore.compaction": (
+        "BackgroundWork",
+        "TierOpCost",
+        "TieredFlashStore",
+        "TieredStoreConfig",
+        "TieredStoreStats",
+    ),
+    "repro.flashstore.filters": ("CuckooFilter",),
+    "repro.flashstore.hashstore": ("HashStore",),
+    "repro.flashstore.logstore": ("LogStore",),
+    "repro.flashstore.sortedstore": ("SortedStore",),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -9,59 +9,35 @@ Memcached 1.6 experiments), TTL/CAS semantics, the ASCII protocol, and a
 consistent-hash cluster client.
 """
 
-from repro.kvstore.items import Item, ITEM_OVERHEAD_BYTES
-from repro.kvstore.hashing import fnv1a_32, jenkins_oaat, hash_key
-from repro.kvstore.hash_table import HashTable
-from repro.kvstore.slab import SlabAllocator, SlabClass
-from repro.kvstore.lru import LruList, BagLru
-from repro.kvstore.locks import LockContentionModel, StripedLocks
-from repro.kvstore.store import KVStore, StoreResult
-from repro.kvstore.protocol import (
-    Command,
-    Response,
-    parse_command,
-    render_command,
-    render_response,
-    parse_response,
-)
-from repro.kvstore.consistent_hash import ConsistentHashRing
-from repro.kvstore.cluster import MemcachedCluster
-from repro.kvstore.server_loop import MemcachedServer, Connection
-from repro.kvstore.binary_protocol import BinaryServer, BinaryMessage, Opcode, Status
-from repro.kvstore.client import MemcachedClient, GetResult
-from repro.kvstore.udp_server import UdpMemcachedServer, UdpFrame
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Item",
-    "ITEM_OVERHEAD_BYTES",
-    "fnv1a_32",
-    "jenkins_oaat",
-    "hash_key",
-    "HashTable",
-    "SlabAllocator",
-    "SlabClass",
-    "LruList",
-    "BagLru",
-    "LockContentionModel",
-    "StripedLocks",
-    "KVStore",
-    "StoreResult",
-    "Command",
-    "Response",
-    "parse_command",
-    "render_command",
-    "render_response",
-    "parse_response",
-    "ConsistentHashRing",
-    "MemcachedCluster",
-    "MemcachedServer",
-    "Connection",
-    "BinaryServer",
-    "BinaryMessage",
-    "Opcode",
-    "Status",
-    "MemcachedClient",
-    "GetResult",
-    "UdpMemcachedServer",
-    "UdpFrame",
-]
+_EXPORTS = {
+    "repro.kvstore.items": ("Item", "ITEM_OVERHEAD_BYTES"),
+    "repro.kvstore.hashing": ("fnv1a_32", "jenkins_oaat", "hash_key"),
+    "repro.kvstore.hash_table": ("HashTable",),
+    "repro.kvstore.slab": ("SlabAllocator", "SlabClass"),
+    "repro.kvstore.lru": ("LruList", "BagLru"),
+    "repro.kvstore.locks": ("LockContentionModel", "StripedLocks"),
+    "repro.kvstore.store": ("KVStore", "StoreResult"),
+    "repro.kvstore.protocol": (
+        "Command",
+        "Response",
+        "parse_command",
+        "render_command",
+        "render_response",
+        "parse_response",
+    ),
+    "repro.kvstore.consistent_hash": ("ConsistentHashRing",),
+    "repro.kvstore.cluster": ("MemcachedCluster",),
+    "repro.kvstore.server_loop": ("MemcachedServer", "Connection"),
+    "repro.kvstore.binary_protocol": (
+        "BinaryServer",
+        "BinaryMessage",
+        "Opcode",
+        "Status",
+    ),
+    "repro.kvstore.client": ("MemcachedClient", "GetResult"),
+    "repro.kvstore.udp_server": ("UdpMemcachedServer", "UdpFrame"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

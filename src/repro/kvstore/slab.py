@@ -136,6 +136,11 @@ class SlabAllocator:
     def pages_available(self) -> int:
         return self.memory_limit_bytes // self.page_bytes - self._pages_allocated
 
+    def has_room(self, slab_class: SlabClass) -> bool:
+        """Whether :meth:`allocate` into ``slab_class`` succeeds: the class
+        has a free chunk, or the budget has a page left for it."""
+        return slab_class.free_chunks > 0 or self.pages_available > 0
+
     def allocate(self, item_bytes: int) -> SlabClass:
         """Allocate a chunk for an item; returns the class it landed in.
 
@@ -147,12 +152,12 @@ class SlabAllocator:
                 no free chunks (callers must evict and retry).
         """
         slab_class = self.class_for(item_bytes)
+        if not self.has_room(slab_class):
+            raise CapacityError(
+                f"out of memory: class {slab_class.class_id} "
+                f"(chunk {slab_class.chunk_size}) has no free chunks"
+            )
         if slab_class.free_chunks == 0:
-            if self.pages_available <= 0:
-                raise CapacityError(
-                    f"out of memory: class {slab_class.class_id} "
-                    f"(chunk {slab_class.chunk_size}) has no free chunks"
-                )
             slab_class.pages += 1
             slab_class.free_chunks += slab_class.chunks_per_page
             self._pages_allocated += 1

@@ -153,19 +153,22 @@ class KVStore:
             CapacityError: if eviction cannot free a chunk (e.g. the class
                 has no items and the global budget is exhausted).
         """
-        target_class = self.slabs.class_for(item_bytes).class_id
+        slabs = self.slabs
+        slab_class = slabs.class_for(item_bytes)
+        # Test for room before allocating: on a full store nearly every
+        # set evicts, so a CapacityError is built only when no victim is
+        # left, not raised and caught on the way to each eviction.
         for _attempt in range(self.eviction_attempts):
-            try:
-                return self.slabs.allocate(item_bytes).class_id
-            except CapacityError:
-                victim = self._lru_for(target_class).pop_victim()
-                if victim is None:
-                    raise
-                self.table.remove(victim.key)
-                self.slabs.free(victim.total_bytes)
-                if not self._is_dead(victim):
-                    self.stats.evictions += 1
-        return self.slabs.allocate(item_bytes).class_id
+            if slabs.has_room(slab_class):
+                break
+            victim = self._lru_for(slab_class.class_id).pop_victim()
+            if victim is None:
+                break  # nothing left to evict: allocate() raises
+            self.table.remove(victim.key)
+            slabs.free(victim.total_bytes)
+            if not self._is_dead(victim):
+                self.stats.evictions += 1
+        return slabs.allocate(item_bytes).class_id
 
     # --- protocol verbs ---------------------------------------------------------------
 

@@ -1,29 +1,18 @@
 """Memory substrate: 3D-stacked DRAM, conventional DRAM, NAND flash, FTL."""
 
-from repro.memory.dram3d import StackedDram, TEZZARON_4GB
-from repro.memory.dram_dimm import MemoryTech, MEMORY_TECH_CATALOG, memory_tech_by_name
-from repro.memory.flash import FlashDevice, FlashTiming, PBICS_19GB
-from repro.memory.ftl import FlashTranslationLayer
-from repro.memory.controller import PortAllocator, QueuedChannel
-from repro.memory.endurance import (
-    EnduranceReport,
-    endurance_report,
-    max_put_rate_for_lifetime,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "StackedDram",
-    "TEZZARON_4GB",
-    "MemoryTech",
-    "MEMORY_TECH_CATALOG",
-    "memory_tech_by_name",
-    "FlashDevice",
-    "FlashTiming",
-    "PBICS_19GB",
-    "FlashTranslationLayer",
-    "PortAllocator",
-    "QueuedChannel",
-    "EnduranceReport",
-    "endurance_report",
-    "max_put_rate_for_lifetime",
-]
+_EXPORTS = {
+    "repro.memory.dram3d": ("StackedDram", "TEZZARON_4GB"),
+    "repro.memory.dram_dimm": ("MemoryTech", "MEMORY_TECH_CATALOG", "memory_tech_by_name"),
+    "repro.memory.flash": ("FlashDevice", "FlashTiming", "PBICS_19GB"),
+    "repro.memory.ftl": ("FlashTranslationLayer",),
+    "repro.memory.controller": ("PortAllocator", "QueuedChannel"),
+    "repro.memory.endurance": (
+        "EnduranceReport",
+        "endurance_report",
+        "max_put_rate_for_lifetime",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,27 +1,18 @@
 """Network substrate: framing/segmentation, TCP cost model, NIC MAC/PHY."""
 
-from repro.network.packets import (
-    EthernetParams,
-    ETHERNET_10GBE,
-    segments_for_payload,
-    wire_bytes_for_payload,
-    wire_time,
-    request_wire_payloads,
-)
-from repro.network.tcp import TcpCostModel, DEFAULT_TCP_COSTS
-from repro.network.nic import NicMac, NicPhy, NIAGARA2_MAC, BROADCOM_PHY
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EthernetParams",
-    "ETHERNET_10GBE",
-    "segments_for_payload",
-    "wire_bytes_for_payload",
-    "wire_time",
-    "request_wire_payloads",
-    "TcpCostModel",
-    "DEFAULT_TCP_COSTS",
-    "NicMac",
-    "NicPhy",
-    "NIAGARA2_MAC",
-    "BROADCOM_PHY",
-]
+_EXPORTS = {
+    "repro.network.packets": (
+        "EthernetParams",
+        "ETHERNET_10GBE",
+        "segments_for_payload",
+        "wire_bytes_for_payload",
+        "wire_time",
+        "request_wire_payloads",
+    ),
+    "repro.network.tcp": ("TcpCostModel", "DEFAULT_TCP_COSTS"),
+    "repro.network.nic": ("NicMac", "NicPhy", "NIAGARA2_MAC", "BROADCOM_PHY"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,18 +1,17 @@
 """Power modelling: component, stack, and server budget arithmetic,
 plus the dynamic (activity-priced) model behind the energy meter."""
 
-from repro.power.model import PowerBudget, DEFAULT_BUDGET, stack_power_w, server_power_w
-from repro.power.dynamic import CORE_IDLE_FRACTION, DynamicPowerModel
-from repro.power.tco import CostModel, DEFAULT_COSTS, FleetCost
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PowerBudget",
-    "DEFAULT_BUDGET",
-    "stack_power_w",
-    "server_power_w",
-    "CORE_IDLE_FRACTION",
-    "DynamicPowerModel",
-    "CostModel",
-    "DEFAULT_COSTS",
-    "FleetCost",
-]
+_EXPORTS = {
+    "repro.power.model": (
+        "PowerBudget",
+        "DEFAULT_BUDGET",
+        "stack_power_w",
+        "server_power_w",
+    ),
+    "repro.power.dynamic": ("CORE_IDLE_FRACTION", "DynamicPowerModel"),
+    "repro.power.tco": ("CostModel", "DEFAULT_COSTS", "FleetCost"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

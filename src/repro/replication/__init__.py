@@ -11,33 +11,19 @@ The subsystem splits along Dynamo's seams:
 * :mod:`~repro.replication.antientropy` — background digest sweeps.
 """
 
-# kvstore.client imports placement/config from this package while
-# ``repro.kvstore`` is itself mid-import; eager re-exports here would
-# close that cycle.  PEP 562 lazy attributes (the same pattern as
-# ``repro.sim``) keep ``from repro.replication import X`` working
-# without it.
-_LAZY = {
-    "QuorumConfig": "repro.replication.config",
-    "ReplicationConfig": "repro.replication.config",
-    "SINGLE_COPY": "repro.replication.config",
-    "DEFAULT_REPLICATION": "repro.replication.config",
-    "ReplicaPlacement": "repro.replication.placement",
-    "default_stack_of": "repro.replication.placement",
-    "ReplicationCoordinator": "repro.replication.coordinator",
-    "WriteOutcome": "repro.replication.coordinator",
-    "Hint": "repro.replication.handoff",
-    "HintQueue": "repro.replication.handoff",
-    "AntiEntropySweeper": "repro.replication.antientropy",
-    "SweepReport": "repro.replication.antientropy",
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "repro.replication.config": (
+        "QuorumConfig",
+        "ReplicationConfig",
+        "SINGLE_COPY",
+        "DEFAULT_REPLICATION",
+    ),
+    "repro.replication.placement": ("ReplicaPlacement", "default_stack_of"),
+    "repro.replication.coordinator": ("ReplicationCoordinator", "WriteOutcome"),
+    "repro.replication.handoff": ("Hint", "HintQueue"),
+    "repro.replication.antientropy": ("AntiEntropySweeper", "SweepReport"),
 }
 
-__all__ = sorted(_LAZY)
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,55 +1,20 @@
 """Discrete-event simulation: engine, resources, queueing theory."""
 
-from repro.sim.events import Simulator, Event
-from repro.sim.resources import FifoResource
-from repro.sim.queueing import MM1, MG1, MMc, sla_fraction_met
-from repro.sim.rng import make_rng
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Simulator",
-    "Event",
-    "FifoResource",
-    "MM1",
-    "MG1",
-    "MMc",
-    "sla_fraction_met",
-    "StackSimulation",
-    "SimResults",
-    "FullSystemStack",
-    "FullSystemResults",
-    "RunOptions",
-    "FidelityPolicy",
-    "PacketLevelSimulation",
-    "PacketSimResult",
-    "ReplicationConfig",
-    "make_rng",
-]
-
-# The simulation front-ends sit above kvstore and core, which themselves
-# use the engine primitives and the fault plane; importing them eagerly
-# here would close an import cycle (kvstore.client -> faults ->
-# sim.events -> this package -> full_system -> core -> kvstore).  PEP 562
-# lazy attributes keep ``from repro.sim import FullSystemStack`` working
-# without the cycle.
-_LAZY = {
-    "StackSimulation": "repro.sim.request_sim",
-    "SimResults": "repro.sim.request_sim",
-    "FullSystemStack": "repro.sim.full_system",
-    "FullSystemResults": "repro.sim.full_system",
-    "RunOptions": "repro.sim.run_options",
-    "FidelityPolicy": "repro.sim.fidelity",
-    "PacketLevelSimulation": "repro.sim.packet_sim",
-    "PacketSimResult": "repro.sim.packet_sim",
+_EXPORTS = {
+    "repro.sim.events": ("Simulator", "Event"),
+    "repro.sim.resources": ("FifoResource",),
+    "repro.sim.queueing": ("MM1", "MG1", "MMc", "sla_fraction_met"),
+    "repro.sim.request_sim": ("StackSimulation", "SimResults"),
+    "repro.sim.full_system": ("FullSystemStack", "FullSystemResults"),
+    "repro.sim.run_options": ("RunOptions",),
+    "repro.sim.fidelity": ("FidelityPolicy",),
+    "repro.sim.packet_sim": ("PacketLevelSimulation", "PacketSimResult"),
     # Re-exported so full-system callers can configure replicated runs
     # without importing the replication package path themselves.
-    "ReplicationConfig": "repro.replication.config",
+    "repro.replication.config": ("ReplicationConfig",),
+    "repro.sim.rng": ("make_rng",),
 }
 
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

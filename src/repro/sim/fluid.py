@@ -88,7 +88,6 @@ class FluidFold:
         # Hot-loop caches, all pure functions of (key, size) while the
         # ring is intact — which every window-entry guard ensures.
         self.key_core: dict[bytes, int] = {}
-        self.payloads: dict[int, bytes] = {}
         # Value length -> GET-hit reply bytes, less the key's length.
         self.hit_reply_lens: dict[int, int] = {}
         step_limit = fidelity.max_fluid_step_s
@@ -259,7 +258,8 @@ class FluidFold:
         _expovariate = pipe.rng.expovariate
         _next_raw = pipe.generator.next_raw
         key_core = self.key_core
-        payload_cache = self.payloads
+        payloads = pipe.payloads
+        payload_for = pipe.payload
         hit_reply_lens = self.hit_reply_lens
         miss_reply_len = reply_len("END")
         stored = StoreResult.STORED
@@ -306,11 +306,9 @@ class FluidFold:
                         misses += 1
                         resp_len = miss_reply_len
                         if fill_on_miss:
-                            payload = payload_cache.get(size)
-                            if payload is None:
-                                payload = b"x" * size
-                                payload_cache[size] = payload
-                            store_sets[core](key, payload)
+                            store_sets[core](
+                                key, payloads.get(size) or payload_for(size)
+                            )
                     served = resp_len
                     if window_s is not None:
                         widx = int(t / window_s)
@@ -319,11 +317,9 @@ class FluidFold:
                             win_hits[widx] = win_hits.get(widx, 0) + 1
                 else:
                     puts += 1
-                    payload = payload_cache.get(size)
-                    if payload is None:
-                        payload = b"x" * size
-                        payload_cache[size] = payload
-                    result = store_sets[core](key, payload)
+                    result = store_sets[core](
+                        key, payloads.get(size) or payload_for(size)
+                    )
                     resp_len = (stored_len if result is stored
                                 else reply_len(result.value))
                     served = size

@@ -53,18 +53,11 @@ from repro.telemetry.energy import EnergyMeter
 from repro.telemetry.metrics import StreamingHistogram
 from repro.telemetry.timeseries import TimeSeriesRecorder, WindowedSeries
 from repro.telemetry.tracing import NULL_TELEMETRY, TelemetrySession
+from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
 
 #: Deadline used for tail-based trace sampling when a run only asks for
 #: a digest (matches the paper's 1.1 ms RTT SLA).
 _DIGEST_SLA_DEADLINE_S = 1.1e-3
-
-# Imported lazily inside run(): repro.workloads.generator itself imports
-# repro.sim.rng, and a module-level import here would close that cycle
-# while repro.sim's package init is still running.
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.workloads.generator import WorkloadSpec
 
 _BASE_TCP_PORT = 11211
 
@@ -444,7 +437,7 @@ class FullSystemStack:
             raise ConfigurationError(f"no core for fault target {node!r}")
         return index
 
-    def run(self, workload: "WorkloadSpec", options: RunOptions) -> FullSystemResults:
+    def run(self, workload: WorkloadSpec, options: RunOptions) -> FullSystemResults:
         """Drive the stack with ``workload`` under ``options``.
 
         ``options`` (a :class:`~repro.sim.run_options.RunOptions`, which
@@ -478,11 +471,9 @@ class FullSystemStack:
     # --- functional execution -------------------------------------------------------
 
     def _execute(
-        self, key: bytes, verb: str, value_bytes: int, core_index: int | None = None
+        self, key: bytes, verb: str, value_bytes: int, core_index: int
     ) -> tuple[bool, int]:
         """Run the request against the real store; (hit, response bytes)."""
-        if core_index is None:
-            core_index = self.core_for_key(key)
         connection = self.connections[core_index]
         if verb == "GET":
             reply = connection.feed(b"get %s\r\n" % key)
@@ -511,10 +502,8 @@ class RequestPipeline:
     """
 
     def __init__(
-        self, system: FullSystemStack, workload: "WorkloadSpec", options: RunOptions
+        self, system: FullSystemStack, workload: WorkloadSpec, options: RunOptions
     ):
-        from repro.workloads.generator import WorkloadGenerator
-
         self.system = system
         self.model = system.model
         self.stack = system.stack
@@ -534,17 +523,25 @@ class RequestPipeline:
         self.key_bytes = self.model.cal.default_key_bytes
         self.item_overhead = ITEM_OVERHEAD_BYTES + self.key_bytes
         self._prices: dict[tuple[str, int], tuple] = {}
+        # Value size -> the one value object every functionally stored
+        # item of that size shares (warm-up and the fluid fold).
+        self.payloads: dict[int, bytes] = {}
 
         telemetry = options.telemetry
         if telemetry is None:
             telemetry = NULL_TELEMETRY
         if options.trace_digest and not telemetry.tracer.enabled:
-            # A digest was requested but no live session attached (the
+            # A digest was requested but no live tracer attached (the
             # experiment engine's cached cells run instrument-free):
             # trace internally with the paper SLA as the tail-sampling
             # deadline, seeded off the stack seed for reproducibility.
+            # A live registry stays the caller's, so its metrics (and
+            # any recorder reading them) still see the run.
+            live = telemetry.registry if telemetry.registry.enabled else None
             telemetry = TelemetrySession(
-                slo_deadline_s=_DIGEST_SLA_DEADLINE_S, sampling_seed=system.seed
+                registry=live,
+                slo_deadline_s=_DIGEST_SLA_DEADLINE_S,
+                sampling_seed=system.seed,
             )
         self.registry = registry = telemetry.registry
         self.tracer = telemetry.tracer
@@ -712,20 +709,32 @@ class RequestPipeline:
     # --- set-up and wind-down ------------------------------------------------------
 
     def warm(self, warmup_requests: int) -> None:
-        """Pre-populate the stores with PUTs outside simulated time."""
-        generator = self.generator
+        """Pre-populate the stores with PUTs outside simulated time.
+
+        Warm-up executes functionally, as the fluid fold does: each
+        draw takes the generator's RNG stream exactly as a request
+        would, and its PUT goes straight to ``KVStore.set`` on the
+        key's core (on every replica under quorum), with no protocol
+        round trip.
+        """
+        next_raw = self.generator.next_raw
+        core_for_key = self.system.core_for_key
+        stores = [server.store for server in self.system.servers]
+        quorum = self.quorum
         profiler = self.profiler
         warm_span = profiler.span("warmup") if profiler is not None else nullcontext()
         with warm_span:
             for _ in range(warmup_requests):
-                request = generator.next_request()
-                if self.quorum is not None:
-                    self.quorum.warm(request)
+                key, size, _is_get = next_raw()
+                value = self.payload(size)
+                if quorum is not None:
+                    for port in quorum.placement.replicas_for(key):
+                        quorum.stores[port].set(key, value)
                     continue
-                self.execute(request.key, "PUT", request.value_bytes)
+                stores[core_for_key(key)].set(key, value)
                 if self.tiered is not None:
-                    self.tiered[self.system.core_for_key(request.key)].put(
-                        request.key, self.item_overhead + request.value_bytes
+                    self.tiered[core_for_key(key)].put(
+                        key, self.item_overhead + size
                     )
         if self.tiered is not None:
             # Warmup populated the tiers outside simulated time; meter
@@ -733,6 +742,13 @@ class RequestPipeline:
             for tiered in self.tiered:
                 tiered.reset_stats()
                 tiered.metered = True
+
+    def payload(self, size: int) -> bytes:
+        """The shared value object for items of ``size`` bytes."""
+        payload = self.payloads.get(size)
+        if payload is None:
+            payload = self.payloads[size] = b"x" * size
+        return payload
 
     def drive(self) -> None:
         """Run the simulated clock: pure DES, or the fluid fold when the

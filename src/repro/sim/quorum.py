@@ -90,14 +90,6 @@ class QuorumPath:
             repl.anti_entropy_interval_s, self._antientropy_fire, pipe.duration_s
         )
 
-    def warm(self, request) -> None:
-        """Warm-up PUT: every replica gets the item."""
-        for port in self.placement.replicas_for(request.key):
-            self.pipe.execute(
-                request.key, "PUT", request.value_bytes,
-                int(port) - self.base_port,
-            )
-
     # --- reads -------------------------------------------------------------
 
     def read_port(self, key: bytes, attempt: int) -> str:

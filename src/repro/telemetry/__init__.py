@@ -11,114 +11,74 @@ to a run as ``RunOptions(..., telemetry=session)``, then export with
 :func:`summary_table` — or from the shell: ``python -m repro telemetry``.
 """
 
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    NullRegistry,
-    NULL_REGISTRY,
-    StreamingHistogram,
-    describe_metric,
-    metric_description,
-)
-from repro.telemetry.tracing import (
-    FollowSpan,
-    NullTracer,
-    NULL_TELEMETRY,
-    NULL_TRACER,
-    RequestTrace,
-    Span,
-    TelemetrySession,
-    Tracer,
-)
-from repro.telemetry.critical_path import (
-    AttributionTable,
-    PathSegment,
-    compute_trace_digest,
-    critical_path,
-    tail_attribution,
-    waterfall,
-)
-from repro.telemetry.exporters import (
-    escape_label_value,
-    prometheus_text,
-    summary_table,
-    trace_events,
-    trace_events_json,
-    trace_to_jsonl,
-    validate_trace_events,
-    write_prometheus,
-    write_trace_events,
-    write_trace_jsonl,
-)
-from repro.telemetry.timeseries import (
-    TimeSeriesRecorder,
-    WindowedSeries,
-    write_timeseries_jsonl,
-)
-from repro.telemetry.slo import (
-    Alert,
-    BurnRateRule,
-    SloMonitor,
-    SloObjective,
-    default_burn_rules,
-    paper_sla_objectives,
-)
-from repro.telemetry.energy import (
-    EnergyMeter,
-    WAIT_COMPONENTS,
-    energy_tail_attribution,
-    segment_power_w,
-    trace_energy_j,
-)
-from repro.telemetry.profiler import SimProfiler
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
-    "StreamingHistogram",
-    "describe_metric",
-    "metric_description",
-    "FollowSpan",
-    "NullTracer",
-    "NULL_TELEMETRY",
-    "NULL_TRACER",
-    "RequestTrace",
-    "Span",
-    "TelemetrySession",
-    "Tracer",
-    "AttributionTable",
-    "PathSegment",
-    "compute_trace_digest",
-    "critical_path",
-    "tail_attribution",
-    "waterfall",
-    "escape_label_value",
-    "prometheus_text",
-    "summary_table",
-    "trace_events",
-    "trace_events_json",
-    "trace_to_jsonl",
-    "validate_trace_events",
-    "write_prometheus",
-    "write_trace_events",
-    "write_trace_jsonl",
-    "TimeSeriesRecorder",
-    "WindowedSeries",
-    "write_timeseries_jsonl",
-    "Alert",
-    "BurnRateRule",
-    "SloMonitor",
-    "SloObjective",
-    "default_burn_rules",
-    "paper_sla_objectives",
-    "EnergyMeter",
-    "WAIT_COMPONENTS",
-    "energy_tail_attribution",
-    "segment_power_w",
-    "trace_energy_j",
-    "SimProfiler",
-]
+# Bound eagerly: the function shares its module's name, and importing
+# that module would otherwise set ``repro.telemetry.critical_path`` to it.
+from repro.telemetry.critical_path import critical_path
+
+_EXPORTS = {
+    "repro.telemetry.metrics": (
+        "Counter",
+        "Gauge",
+        "MetricsRegistry",
+        "NullRegistry",
+        "NULL_REGISTRY",
+        "StreamingHistogram",
+        "describe_metric",
+        "metric_description",
+    ),
+    "repro.telemetry.tracing": (
+        "FollowSpan",
+        "NullTracer",
+        "NULL_TELEMETRY",
+        "NULL_TRACER",
+        "RequestTrace",
+        "Span",
+        "TelemetrySession",
+        "Tracer",
+    ),
+    "repro.telemetry.critical_path": (
+        "AttributionTable",
+        "PathSegment",
+        "compute_trace_digest",
+        "critical_path",
+        "tail_attribution",
+        "waterfall",
+    ),
+    "repro.telemetry.exporters": (
+        "escape_label_value",
+        "prometheus_text",
+        "summary_table",
+        "trace_events",
+        "trace_events_json",
+        "trace_to_jsonl",
+        "validate_trace_events",
+        "write_prometheus",
+        "write_trace_events",
+        "write_trace_jsonl",
+    ),
+    "repro.telemetry.timeseries": (
+        "TimeSeriesRecorder",
+        "WindowedSeries",
+        "write_timeseries_jsonl",
+    ),
+    "repro.telemetry.slo": (
+        "Alert",
+        "BurnRateRule",
+        "SloMonitor",
+        "SloObjective",
+        "default_burn_rules",
+        "paper_sla_objectives",
+    ),
+    "repro.telemetry.energy": (
+        "EnergyMeter",
+        "WAIT_COMPONENTS",
+        "energy_tail_attribution",
+        "segment_power_w",
+        "trace_energy_j",
+    ),
+    "repro.telemetry.profiler": ("SimProfiler",),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

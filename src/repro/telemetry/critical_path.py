@@ -202,15 +202,18 @@ def tail_attribution(
     for q in quantiles:
         if not 0.0 <= q < 1.0:
             raise ConfigurationError("attribution quantiles must be in [0, 1)")
-    paths = [critical_path(trace) for trace in finished]
     count = len(finished)
+    firsts = [min(count - 1, int(math.floor(q * count))) for q in quantiles]
+    # Each cohort reads the paths from its first index on, so traces
+    # faster than the lowest quantile's cohort need none.
+    lowest = min(firsts, default=count)
+    paths = [critical_path(trace) for trace in finished[lowest:]]
     shares: dict[float, dict[str, float]] = {}
     sizes: dict[float, int] = {}
     min_rtts: dict[float, float] = {}
-    for q in quantiles:
-        first = min(count - 1, int(math.floor(q * count)))
+    for q, first in zip(quantiles, firsts):
         cohort = finished[first:]
-        cohort_paths = paths[first:]
+        cohort_paths = paths[first - lowest:]
         totals: dict[str, float] = {}
         for path in cohort_paths:
             for segment in path:

@@ -1,5 +1,7 @@
 """Critical-path extraction, tail attribution, waterfall, digest."""
 
+import importlib
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -98,6 +100,27 @@ class TestTailAttribution:
         assert table.cohort_sizes[0.9] == 1
         # The tail cohort is the slowest trace: queue-dominated.
         assert table.shares[0.9]["queue"] > table.shares[0.5]["queue"]
+
+    def test_walks_only_the_cohorts_paths(self, monkeypatch):
+        # The default quantiles start at p50: the faster half of the
+        # traces is in no cohort, so none of their paths is walked.
+        module = importlib.import_module("repro.telemetry.critical_path")
+        tracer = Tracer(MetricsRegistry())
+        traces = [
+            flat_trace(tracer, arrival=float(i), stages=(("queue", (i + 1) * 1e-5),
+                                                         ("memcached", 1e-5)))
+            for i in range(10)
+        ]
+        walked = []
+
+        def counting(trace):
+            walked.append(trace)
+            return critical_path(trace)
+
+        monkeypatch.setattr(module, "critical_path", counting)
+        table = tail_attribution(traces)
+        assert walked == traces[5:]
+        assert table.cohort_sizes[0.5] == 5
 
     def test_render_lists_components_and_cohorts(self):
         tracer = Tracer(MetricsRegistry())

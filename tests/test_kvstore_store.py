@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, StorageError
+from repro.errors import CapacityError, ConfigurationError, StorageError
 from repro.kvstore import KVStore, StoreResult
 from repro.units import MB
 
@@ -218,6 +218,29 @@ class TestEviction:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigurationError):
             KVStore(4 * MB, policy="random")
+
+    def test_evicting_set_builds_no_capacity_error(self, monkeypatch):
+        # On a full store every set of a new key evicts one victim; the
+        # store tests for room first instead of failing an allocation.
+        store = make_store(limit=1 * MB)
+        value = b"x" * 1000
+        for i in range(1500):
+            store.set(b"key-%d" % i, value)
+        evictions = store.stats.evictions
+        assert evictions > 0
+        built = []
+        init = CapacityError.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(CapacityError, "__init__", counting_init)
+        for i in range(1500, 2000):
+            assert store.set(b"key-%d" % i, value) is StoreResult.STORED
+        assert store.stats.evictions == evictions + 500
+        assert built == []
+        store.check_invariants()
 
 
 class TestStats:

@@ -93,3 +93,59 @@ class TestReplicationExports:
                 text=True,
             )
             assert proc.returncode == 0, f"{script!r} failed:\n{proc.stderr}"
+
+
+class TestPackageExports:
+    """Every package re-exports lazily (PEP 562) from its defining modules."""
+
+    SCRIPT = r"""
+import importlib
+import json
+import pkgutil
+import sys
+import types
+
+import repro
+
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    importlib.import_module(info.name)
+packages = [m for n, m in sorted(sys.modules.items())
+            if n.startswith("repro") and hasattr(m, "__path__")]
+problems = []
+for package in packages:
+    table = package._EXPORTS
+    listed = [name for names in table.values() for name in names]
+    if [n for n in package.__all__ if n != "__version__"] != listed:
+        problems.append(f"{package.__name__}.__all__ differs from its table")
+    for module_name, names in table.items():
+        module = sys.modules[module_name]
+        for name in names:
+            value = getattr(package, name, None)
+            if isinstance(value, types.ModuleType):
+                problems.append(f"{package.__name__}.{name} is a module")
+            elif value is None or value is not getattr(module, name):
+                problems.append(
+                    f"{package.__name__}.{name} is not {module_name}.{name}"
+                )
+print(json.dumps([len(packages), problems]))
+"""
+
+    def test_every_export_is_its_defining_modules_object(self):
+        """After every submodule is imported, each package's ``__all__``
+        still resolves to the defining module's objects: a name that
+        equals its own submodule (``repro.core.design_space``) must not
+        be shadowed by the module."""
+        import json
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        count, problems = json.loads(proc.stdout.splitlines()[-1])
+        assert count == 17
+        assert problems == []

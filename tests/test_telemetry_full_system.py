@@ -14,13 +14,19 @@ import pytest
 from repro.core import mercury_stack
 from repro.sim.full_system import FullSystemStack
 from repro.sim.run_options import RunOptions
-from repro.telemetry import TelemetrySession, prometheus_text, trace_to_jsonl
+from repro.telemetry import (
+    NULL_TRACER,
+    MetricsRegistry,
+    TelemetrySession,
+    prometheus_text,
+    trace_to_jsonl,
+)
 from repro.units import MB
 from repro.workloads import WorkloadSpec
 from repro.workloads.distributions import fixed_size
 
 
-def run_system(telemetry=None, keep_samples=False, seed=3):
+def run_system(telemetry=None, keep_samples=False, seed=3, trace_digest=False):
     system = FullSystemStack(
         stack=mercury_stack(4), memory_per_core_bytes=8 * MB, seed=seed
     )
@@ -38,8 +44,24 @@ def run_system(telemetry=None, keep_samples=False, seed=3):
             warmup_requests=5_000,
             telemetry=telemetry,
             keep_samples=keep_samples,
+            trace_digest=trace_digest,
         ),
     )
+
+
+class TestTraceDigestRegistry:
+    def test_digest_keeps_the_callers_live_registry(self):
+        # A digest with no live tracer traces internally; the pipeline's
+        # metrics must still land in the caller's registry.
+        registry = MetricsRegistry()
+        results = run_system(
+            telemetry=TelemetrySession(registry=registry, tracer=NULL_TRACER),
+            trace_digest=True,
+        )
+        assert results.trace_digest is not None
+        assert results.completed > 0
+        completed = registry.counter("requests_completed_total").value
+        assert completed == results.completed
 
 
 class TestZeroOverheadGuarantee:
