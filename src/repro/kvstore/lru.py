@@ -10,113 +10,62 @@ list surgery on the hot path.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from repro.errors import StorageError
 from repro.kvstore.items import Item
 
 
-class _Node:
-    __slots__ = ("item", "prev", "next")
-
-    def __init__(self, item: Item):
-        self.item = item
-        self.prev: _Node | None = None
-        self.next: _Node | None = None
-
-
 class LruList:
-    """A doubly-linked strict LRU list (one per slab class in 1.4)."""
+    """A strict LRU list (one per slab class in 1.4).
+
+    An ``OrderedDict`` from key to item, least recently used first: a
+    touch is ``move_to_end`` and an eviction ``popitem(last=False)``,
+    both O(1) list surgery done in C.
+    """
 
     def __init__(self) -> None:
-        self._head: _Node | None = None  # most recently used
-        self._tail: _Node | None = None  # least recently used
-        self._nodes: dict[bytes, _Node] = {}
+        self._items: OrderedDict[bytes, Item] = OrderedDict()
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._items)
 
     def __contains__(self, key: bytes) -> bool:
-        return key in self._nodes
-
-    def _unlink(self, node: _Node) -> None:
-        if node.prev is not None:
-            node.prev.next = node.next
-        else:
-            self._head = node.next
-        if node.next is not None:
-            node.next.prev = node.prev
-        else:
-            self._tail = node.prev
-        node.prev = node.next = None
-
-    def _push_front(self, node: _Node) -> None:
-        node.next = self._head
-        node.prev = None
-        if self._head is not None:
-            self._head.prev = node
-        self._head = node
-        if self._tail is None:
-            self._tail = node
+        return key in self._items
 
     def insert(self, item: Item) -> None:
         """Add a new item at the MRU position."""
-        if item.key in self._nodes:
+        if item.key in self._items:
             raise StorageError(f"key {item.key!r} already on the LRU list")
-        node = _Node(item)
-        self._nodes[item.key] = node
-        self._push_front(node)
+        self._items[item.key] = item
 
     def touch(self, key: bytes) -> None:
-        """Move an item to the MRU position (the GET hot path in 1.4).
-
-        Unlink and re-link are fused inline with an early exit for the
-        already-MRU case — this runs once per GET hit, and hot keys are
-        at the head most of the time.
-        """
-        node = self._nodes.get(key)
-        if node is None:
-            raise StorageError(f"key {key!r} not on the LRU list")
-        head = self._head
-        if node is head:
-            return
-        # node is not the head, so node.prev is a real node.
-        prev = node.prev
-        nxt = node.next
-        prev.next = nxt
-        if nxt is not None:
-            nxt.prev = prev
-        else:
-            self._tail = prev
-        node.prev = None
-        node.next = head
-        head.prev = node
-        self._head = node
+        """Move an item to the MRU position (the GET hot path in 1.4)."""
+        try:
+            self._items.move_to_end(key)
+        except KeyError:
+            raise StorageError(f"key {key!r} not on the LRU list") from None
 
     def remove(self, key: bytes) -> Item:
         """Unlink an item (delete / eviction bookkeeping)."""
-        node = self._nodes.pop(key, None)
-        if node is None:
+        item = self._items.pop(key, None)
+        if item is None:
             raise StorageError(f"key {key!r} not on the LRU list")
-        self._unlink(node)
-        return node.item
+        return item
 
     def victim(self) -> Item | None:
         """The LRU item (eviction candidate), without removing it."""
-        return self._tail.item if self._tail is not None else None
+        return next(iter(self._items.values()), None)
 
     def pop_victim(self) -> Item | None:
         """Remove and return the LRU item."""
-        if self._tail is None:
+        if not self._items:
             return None
-        return self.remove(self._tail.item.key)
+        return self._items.popitem(last=False)[1]
 
     def keys_mru_order(self) -> list[bytes]:
         """All keys, most-recent first (test introspection)."""
-        keys = []
-        node = self._head
-        while node is not None:
-            keys.append(node.item.key)
-            node = node.next
-        return keys
+        return list(reversed(self._items))
 
 
 class BagLru:

@@ -48,9 +48,9 @@ from repro.sim.quorum import QuorumPath
 from repro.sim.resources import FifoResource, ignore_completion
 from repro.sim.rng import make_rng
 from repro.sim.run_options import RunOptions
-from repro.telemetry.critical_path import compute_trace_digest
+from repro.telemetry.critical_path import DigestTracer, compute_trace_digest
 from repro.telemetry.energy import EnergyMeter
-from repro.telemetry.metrics import StreamingHistogram
+from repro.telemetry.metrics import MetricsRegistry, StreamingHistogram
 from repro.telemetry.timeseries import TimeSeriesRecorder, WindowedSeries
 from repro.telemetry.tracing import NULL_TELEMETRY, TelemetrySession
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
@@ -535,13 +535,22 @@ class RequestPipeline:
             # experiment engine's cached cells run instrument-free):
             # trace internally with the paper SLA as the tail-sampling
             # deadline, seeded off the stack seed for reproducibility.
-            # A live registry stays the caller's, so its metrics (and
-            # any recorder reading them) still see the run.
-            live = telemetry.registry if telemetry.registry.enabled else None
+            # The digest is the only reader, so each retained trace is
+            # folded to its digest record at commit.  A live registry
+            # stays the caller's, so its metrics (and any recorder
+            # reading them) still see the run.
+            registry = (
+                telemetry.registry
+                if telemetry.registry.enabled
+                else MetricsRegistry()
+            )
             telemetry = TelemetrySession(
-                registry=live,
-                slo_deadline_s=_DIGEST_SLA_DEADLINE_S,
-                sampling_seed=system.seed,
+                registry=registry,
+                tracer=DigestTracer(
+                    registry,
+                    slo_deadline_s=_DIGEST_SLA_DEADLINE_S,
+                    sampling_seed=system.seed,
+                ),
             )
         self.registry = registry = telemetry.registry
         self.tracer = telemetry.tracer
@@ -731,11 +740,10 @@ class RequestPipeline:
                     for port in quorum.placement.replicas_for(key):
                         quorum.stores[port].set(key, value)
                     continue
-                stores[core_for_key(key)].set(key, value)
+                core = core_for_key(key)
+                stores[core].set(key, value)
                 if self.tiered is not None:
-                    self.tiered[core_for_key(key)].put(
-                        key, self.item_overhead + size
-                    )
+                    self.tiered[core].put(key, self.item_overhead + size)
         if self.tiered is not None:
             # Warmup populated the tiers outside simulated time; meter
             # only the measured run (registry counters start clean).

@@ -37,7 +37,6 @@ for the Prometheus exporter and the :class:`TimeSeriesRecorder`.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable, Sequence
 
 from repro.errors import ConfigurationError, SimulationError
@@ -45,7 +44,9 @@ from repro.power.dynamic import DynamicPowerModel
 from repro.telemetry.critical_path import (
     DEFAULT_QUANTILES,
     AttributionTable,
+    attribute_cohorts,
     critical_path,
+    path_record,
 )
 from repro.telemetry.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.telemetry.slo import Alert
@@ -541,41 +542,15 @@ def energy_tail_attribution(
         raise ConfigurationError(
             "energy attribution needs at least one finished trace"
         )
-    for q in quantiles:
-        if not 0.0 <= q < 1.0:
-            raise ConfigurationError("attribution quantiles must be in [0, 1)")
-    paths = [critical_path(trace) for trace in finished]
-    count = len(finished)
-    shares: dict[float, dict[str, float]] = {}
-    sizes: dict[float, int] = {}
-    min_rtts: dict[float, float] = {}
-    cohort_j_per_op: dict[float, float] = {}
-    for q in quantiles:
-        first = min(count - 1, int(math.floor(q * count)))
-        cohort = finished[first:]
-        cohort_paths = paths[first:]
-        totals: dict[str, float] = {}
-        for path in cohort_paths:
-            for segment in path:
-                joules = segment.duration_s * segment_power_w(
-                    segment.component, model
-                )
-                totals[segment.component] = (
-                    totals.get(segment.component, 0.0) + joules
-                )
-        total_j = sum(totals.values())
-        shares[q] = (
-            {name: value / total_j for name, value in totals.items()}
-            if total_j > 0
-            else {name: 0.0 for name in totals}
-        )
-        sizes[q] = len(cohort)
-        min_rtts[q] = cohort[0].rtt_s
-        cohort_j_per_op[q] = total_j / len(cohort)
-    table = AttributionTable(
-        quantiles=tuple(quantiles),
-        shares=shares,
-        cohort_sizes=sizes,
-        cohort_min_rtt_s=min_rtts,
+    table, cohort_j = attribute_cohorts(
+        finished,
+        quantiles,
+        fold=path_record,
+        weigh=lambda component, seconds: (
+            seconds * segment_power_w(component, model)
+        ),
     )
+    cohort_j_per_op = {
+        q: cohort_j[q] / table.cohort_sizes[q] for q in table.quantiles
+    }
     return table, cohort_j_per_op

@@ -372,7 +372,7 @@ class Tracer:
             self._drop()
             return
         if keeper:
-            self._keepers.append(trace)
+            self._keepers.append(self._keep(trace))
             self._sampled_total.inc()
             # Evict reservoir normals (never keepers) to honor the cap.
             while (
@@ -389,16 +389,22 @@ class Tracer:
             return
         self._normals_seen += 1
         if len(self._reservoir) < capacity:
-            self._reservoir.append(trace)
+            self._reservoir.append(self._keep(trace))
             self._sampled_total.inc()
             return
         # Algorithm R: the new normal replaces a random resident with
         # probability reservoir_size / normals_seen.
         slot = self._rng.randrange(self._normals_seen)
         if slot < len(self._reservoir):
-            self._reservoir[slot] = trace
+            self._reservoir[slot] = self._keep(trace)
             self._sampled_total.inc()
         self._drop()
+
+    def _keep(self, trace: RequestTrace):
+        """What a retention slot holds for an admitted trace: here the
+        trace itself (:class:`~repro.telemetry.critical_path.DigestTracer`
+        holds its digest record)."""
+        return trace
 
     # --- follows-from ------------------------------------------------------------
 

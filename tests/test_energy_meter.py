@@ -1,6 +1,8 @@
 """Activity-based energy metering: integrator, alerts, attribution."""
 
+import importlib
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -10,18 +12,23 @@ from repro.core import ServerDesign, iridium_stack, mercury_stack
 from repro.core.thermal import PASSIVE_COOLING_LIMIT_W, ThermalReport
 from repro.errors import ConfigurationError, SimulationError
 from repro.exp.scenarios import get_scenario
+from repro.faults import ResiliencePolicy
 from repro.power import DEFAULT_BUDGET, CORE_IDLE_FRACTION, DynamicPowerModel
 from repro.sim.full_system import FullSystemStack
 from repro.sim.run_options import RunOptions
 from repro.telemetry import (
+    AttributionTable,
     EnergyMeter,
     MetricsRegistry,
+    TelemetrySession,
     Tracer,
+    critical_path,
     energy_tail_attribution,
     prometheus_text,
     segment_power_w,
     trace_energy_j,
 )
+from repro.telemetry.critical_path import DEFAULT_QUANTILES
 from repro.units import MB
 from repro.workloads import WorkloadSpec
 from repro.workloads.distributions import fixed_size
@@ -335,6 +342,114 @@ class TestSpanAttribution:
     def test_attribution_needs_finished_traces(self):
         with pytest.raises(ConfigurationError):
             energy_tail_attribution([], model())
+
+
+def reference_energy_tail_attribution(traces, model, quantiles=DEFAULT_QUANTILES):
+    """``energy_tail_attribution`` before it shared the cohort function
+    with ``tail_attribution``, copied verbatim: it walked every trace."""
+    finished = sorted(
+        (t for t in traces if t.end_s is not None),
+        key=lambda t: (t.rtt_s, t.request_id),
+    )
+    if not finished:
+        raise ConfigurationError(
+            "energy attribution needs at least one finished trace"
+        )
+    for q in quantiles:
+        if not 0.0 <= q < 1.0:
+            raise ConfigurationError("attribution quantiles must be in [0, 1)")
+    paths = [critical_path(trace) for trace in finished]
+    count = len(finished)
+    shares: dict[float, dict[str, float]] = {}
+    sizes: dict[float, int] = {}
+    min_rtts: dict[float, float] = {}
+    cohort_j_per_op: dict[float, float] = {}
+    for q in quantiles:
+        first = min(count - 1, int(math.floor(q * count)))
+        cohort = finished[first:]
+        cohort_paths = paths[first:]
+        totals: dict[str, float] = {}
+        for path in cohort_paths:
+            for segment in path:
+                joules = segment.duration_s * segment_power_w(
+                    segment.component, model
+                )
+                totals[segment.component] = (
+                    totals.get(segment.component, 0.0) + joules
+                )
+        total_j = sum(totals.values())
+        shares[q] = (
+            {name: value / total_j for name, value in totals.items()}
+            if total_j > 0
+            else {name: 0.0 for name in totals}
+        )
+        sizes[q] = len(cohort)
+        min_rtts[q] = cohort[0].rtt_s
+        cohort_j_per_op[q] = total_j / len(cohort)
+    table = AttributionTable(
+        quantiles=tuple(quantiles),
+        shares=shares,
+        cohort_sizes=sizes,
+        cohort_min_rtt_s=min_rtts,
+    )
+    return table, cohort_j_per_op
+
+
+class TestEnergyCohorts:
+    def flat_traces(self, count=10):
+        tracer = Tracer(MetricsRegistry())
+        traces = []
+        for i in range(count):
+            trace = tracer.begin(float(i), verb="GET")
+            trace.add_span("queue", float(i), (i + 1) * 1e-5, node="core0")
+            trace.add_span("memcached", i + (i + 1) * 1e-5, 1e-5, node="core0")
+            trace.finish(i + (i + 2) * 1e-5)
+            traces.append(trace)
+        return traces
+
+    def test_walks_only_the_cohorts_paths(self, monkeypatch):
+        # The default quantiles start at p50: the faster half of the
+        # traces is in no cohort, so none of their paths is walked.
+        walked = []
+
+        def counting(trace):
+            walked.append(trace)
+            return critical_path(trace)
+
+        for name in ("repro.telemetry.critical_path", "repro.telemetry.energy"):
+            monkeypatch.setattr(
+                importlib.import_module(name), "critical_path", counting
+            )
+        traces = self.flat_traces()
+        table, cohort_j = energy_tail_attribution(traces, model())
+        assert walked == traces[5:]
+        assert table.cohort_sizes[0.5] == 5
+        assert cohort_j[0.5] > 0
+
+    @pytest.mark.parametrize("quantiles", [DEFAULT_QUANTILES, (0.0, 0.95), (0.9, 0.3)])
+    def test_same_table_and_joules_as_walking_every_trace(self, quantiles):
+        session = TelemetrySession(max_traces=2_000)
+        stack = FullSystemStack(
+            stack=mercury_stack(4), memory_per_core_bytes=1 * MB, seed=9
+        )
+        stack.run(
+            small_workload(),
+            RunOptions(
+                offered_rate_hz=8_000.0, duration_s=0.1, warmup_requests=1_000,
+                resilience=ResiliencePolicy(hedge_after_s=100e-6),
+                telemetry=session,
+            ),
+        )
+        traces = session.tracer.traces
+        assert len(traces) > 100
+        m = model(4)
+        table, cohort_j = energy_tail_attribution(traces, m, quantiles)
+        expected_table, expected_j = reference_energy_tail_attribution(
+            traces, m, quantiles
+        )
+        assert table.to_dict() == expected_table.to_dict()
+        assert table.shares == expected_table.shares
+        assert cohort_j == expected_j
 
 
 class TestDiurnalSchedule:
