@@ -1,14 +1,21 @@
-"""Byte-level pins of the CLI's full-system subcommands.
+"""Byte-level pins of the CLI's subcommands.
 
 Each case runs ``repro.cli.main`` in process with its output directory
 (``--out`` / ``--export``) under ``tmp_path`` and pins two kinds of
 SHA-256 digest: stdout, with that directory masked, and every file the
-command writes.  ``telemetry``, ``power``, ``trace``, ``faults``,
-``replication`` and ``flashstore`` run as text and, where they have one,
-with ``--export``.  Runs under a fault preset last past its first event
-(the crash is at 1.0 s).  The ``--help`` text of the five full-system
-subcommands is pinned at a fixed terminal width, so no flag can be
-added, dropped, renamed or re-defaulted unnoticed.
+command writes.
+
+* The full-system subcommands ``telemetry``, ``power``, ``trace``,
+  ``faults``, ``replication`` and ``flashstore`` run as text and, where
+  they have one, with ``--export``.  Runs under a fault preset last past
+  its first event (the crash is at 1.0 s).
+* The analytic artefacts: ``table1``-``table4`` as text and exported to
+  CSV, ``fig4``-``fig8`` as text, as ``--chart`` and exported to JSON,
+  ``headlines``, ``sensitivity`` at two factors, and ``report`` with
+  every file it writes.
+* The ``--help`` text of the top-level parser and of the five
+  full-system subcommands, at a fixed terminal width, so no subcommand
+  or flag can be added, dropped, renamed or re-defaulted unnoticed.
 
 To bless an intentional change::
 
@@ -39,6 +46,8 @@ _REPLICATION = ("replication", "--replicas", "1,3", "--cores", "4",
 _FLASHSTORE = ("flashstore", "--put-fractions", "0.5", "--rate", "6000",
                "--duration", "0.2", "--keys", "2000", "--warmup", "1000",
                "--segment-pages", "8")
+_TABLES = ("table1", "table2", "table3", "table4")
+_FIGURES = ("fig4", "fig5", "fig6", "fig7", "fig8")
 
 CASES: dict[str, tuple[str, ...]] = {
     "telemetry": ("telemetry", "--cores", "2", "--duration", "0.05",
@@ -65,6 +74,22 @@ CASES: dict[str, tuple[str, ...]] = {
         f"help-{command}": (command, "--help")
         for command in ("telemetry", "power", "trace", "faults", "replication")
     },
+    "help": ("--help",),
+    **{table: (table,) for table in _TABLES},
+    **{
+        f"{table}-export": (table, "--export", f"{OUT}/{table}.csv")
+        for table in _TABLES
+    },
+    **{figure: (figure,) for figure in _FIGURES},
+    **{f"{figure}-chart": (figure, "--chart") for figure in _FIGURES},
+    **{
+        f"{figure}-export": (figure, "--export", f"{OUT}/{figure}.json")
+        for figure in _FIGURES
+    },
+    "headlines": ("headlines",),
+    "sensitivity": ("sensitivity",),
+    "sensitivity-factor-1.2": ("sensitivity", "--factor", "1.2"),
+    "report": ("report", "--out", OUT),
 }
 
 
