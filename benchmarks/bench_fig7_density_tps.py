@@ -5,17 +5,6 @@ import pytest
 from conftest import emit, track
 
 from repro.analysis import figure7_density_vs_tps, render_series
-from repro.exp import ResultCache
-
-
-def test_fig7_engine_equivalence(tmp_path):
-    """The figure is identical whether its cells are computed inline,
-    through the experiment engine's worker pool, or from cache."""
-    cache = ResultCache(tmp_path / "expcache")
-    serial = figure7_density_vs_tps()
-    cold = figure7_density_vs_tps(cache=cache, parallel=2)
-    cached = figure7_density_vs_tps(cache=cache)
-    assert serial == cold == cached
 
 
 def test_fig7(benchmark):

@@ -16,10 +16,11 @@ is what EXPERIMENTS.md and the integration tests consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.baselines.commodity import MEMCACHED_BAGS
 from repro.baselines.tssp import TSSP
+from repro.core.calibration import DEFAULT_CALIBRATION, CalibrationConstants
 from repro.core.metrics import OperatingPoint, evaluate_server
 from repro.core.server import ServerDesign
 from repro.core.stack import iridium_stack, mercury_stack
@@ -52,10 +53,19 @@ class HeadlineComparison:
         return abs(self.measured - self.paper) / self.paper
 
 
-def headline_ratios(point: OperatingPoint = OperatingPoint()) -> dict[str, float]:
-    """Recompute every abstract headline from the models."""
-    mercury = evaluate_server(ServerDesign(stack=mercury_stack(32)), point)
-    iridium = evaluate_server(ServerDesign(stack=iridium_stack(32)), point)
+def _ratios(
+    calibration: CalibrationConstants, point: OperatingPoint
+) -> dict[str, float]:
+    """Every abstract headline, in :data:`PAPER_HEADLINES` order, with
+    both 32-core stacks built under ``calibration``."""
+    mercury = evaluate_server(
+        ServerDesign(stack=replace(mercury_stack(32), calibration=calibration)),
+        point,
+    )
+    iridium = evaluate_server(
+        ServerDesign(stack=replace(iridium_stack(32), calibration=calibration)),
+        point,
+    )
     bags = MEMCACHED_BAGS
     return {
         "mercury_density_x": mercury.density_gb / bags.memory_gb,
@@ -69,6 +79,11 @@ def headline_ratios(point: OperatingPoint = OperatingPoint()) -> dict[str, float
         "mercury_vs_tssp_tps_per_watt_x": mercury.tps_per_watt / TSSP.tps_per_watt,
         "iridium_vs_tssp_tps_per_watt_x": iridium.tps_per_watt / TSSP.tps_per_watt,
     }
+
+
+def headline_ratios(point: OperatingPoint = OperatingPoint()) -> dict[str, float]:
+    """Recompute every abstract headline from the models."""
+    return _ratios(DEFAULT_CALIBRATION, point)
 
 
 def compare_headlines(

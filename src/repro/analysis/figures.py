@@ -14,7 +14,7 @@ from repro.core.metrics import OperatingPoint, evaluate_server
 from repro.core.server import ServerDesign
 from repro.core.stack import iridium_stack, mercury_stack
 from repro.cpu.core_model import CORTEX_A7, CORTEX_A15_1GHZ, CoreModel
-from repro.units import GB, NS, US
+from repro.units import NS, US
 from repro.workloads.sweep import REQUEST_SIZE_SWEEP, sweep_labels
 
 #: DRAM access latencies swept in Fig. 5.
@@ -126,81 +126,21 @@ def figure6_iridium_latency_sweep() -> list[FigureSeries]:
     return panels
 
 
-def _config_rows(
-    family: str,
-    point: OperatingPoint,
-    *,
-    parallel: int | None = None,
-    cache=None,
-    registry=None,
-) -> list[dict]:
-    """Every (core, cores-per-stack) cell of a family as result dicts.
-
-    Plain operating points route through the experiment engine
-    (:mod:`repro.exp`), which makes the sweep parallelisable and
-    cacheable; points with a memory override or a GET/PUT mix fall back
-    to direct evaluation, since specs only address verb + size.  Both
-    paths produce identical numbers — engine results are float-exact
-    through their JSON round trip.
-    """
-    if point.memory is None and point.get_fraction is None:
-        from repro.exp import ExperimentSpec, StackSpec, run_experiments
-        from repro.telemetry.metrics import NULL_REGISTRY
-
-        specs = [
-            ExperimentSpec(
-                kind="design_point",
-                stack=StackSpec(
-                    family=family.lower(), cores=n, core=core.name
-                ),
-                verb=point.verb,
-                value_bytes=point.value_bytes,
-                label=f"{family}-{n} {core.name}",
-            )
-            for core in EVALUATED_CORES
-            for n in CORES_PER_STACK_SWEEP
-        ]
-        report = run_experiments(
-            specs,
-            parallel=parallel,
-            cache=cache,
-            registry=registry if registry is not None else NULL_REGISTRY,
-        )
-        return report.labelled_results()
+def _config_sweep(
+    family: str, metric_tps: bool, point: OperatingPoint
+) -> FigureSeries:
+    """One panel over every (core, cores-per-stack) cell of a family."""
     build = mercury_stack if family == "Mercury" else iridium_stack
-    rows = []
+    labels, density, power, tps = [], [], [], []
     for core in EVALUATED_CORES:
         for n in CORES_PER_STACK_SWEEP:
             metrics = evaluate_server(
                 ServerDesign(stack=build(cores=n, core=core)), point
             )
-            rows.append(
-                {
-                    "label": f"{family}-{n} {core.name}",
-                    "density_gb": metrics.density_gb,
-                    "power_w": metrics.power_w,
-                    "tps": metrics.tps,
-                }
-            )
-    return rows
-
-
-def _config_sweep(
-    family: str,
-    metric_tps: bool,
-    point: OperatingPoint,
-    *,
-    parallel: int | None = None,
-    cache=None,
-    registry=None,
-) -> FigureSeries:
-    rows = _config_rows(
-        family, point, parallel=parallel, cache=cache, registry=registry
-    )
-    labels = [row["label"] for row in rows]
-    density = [row["density_gb"] / 1e3 for row in rows]  # thousands of GB
-    power = [row["power_w"] for row in rows]
-    tps = [row["tps"] / 1e6 for row in rows]
+            labels.append(f"{family}-{n} {core.name}")
+            density.append(metrics.density_gb / 1e3)  # thousands of GB
+            power.append(metrics.power_w)
+            tps.append(metrics.tps / 1e6)
     if metric_tps:
         series = {"Density (thousands of GB)": tuple(density), "TPS @64B (millions)": tuple(tps)}
         title = f"Figure 7: {family} density vs TPS"
@@ -217,38 +157,19 @@ def _config_sweep(
 
 def figure7_density_vs_tps(
     point: OperatingPoint = OperatingPoint(),
-    *,
-    parallel: int | None = None,
-    cache=None,
-    registry=None,
 ) -> list[FigureSeries]:
-    """Fig. 7: density and TPS@64B for every Mercury/Iridium config.
-
-    ``parallel``/``cache``/``registry`` pass through to the experiment
-    engine (:func:`repro.exp.run_experiments`).
-    """
+    """Fig. 7: density and TPS@64B for every Mercury/Iridium config."""
     return [
-        _config_sweep("Mercury", metric_tps=True, point=point,
-                      parallel=parallel, cache=cache, registry=registry),
-        _config_sweep("Iridium", metric_tps=True, point=point,
-                      parallel=parallel, cache=cache, registry=registry),
+        _config_sweep("Mercury", metric_tps=True, point=point),
+        _config_sweep("Iridium", metric_tps=True, point=point),
     ]
 
 
 def figure8_power_vs_tps(
     point: OperatingPoint = OperatingPoint(),
-    *,
-    parallel: int | None = None,
-    cache=None,
-    registry=None,
 ) -> list[FigureSeries]:
-    """Fig. 8: power and TPS@64B for every Mercury/Iridium config.
-
-    Takes the same engine pass-throughs as :func:`figure7_density_vs_tps`.
-    """
+    """Fig. 8: power and TPS@64B for every Mercury/Iridium config."""
     return [
-        _config_sweep("Mercury", metric_tps=False, point=point,
-                      parallel=parallel, cache=cache, registry=registry),
-        _config_sweep("Iridium", metric_tps=False, point=point,
-                      parallel=parallel, cache=cache, registry=registry),
+        _config_sweep("Mercury", metric_tps=False, point=point),
+        _config_sweep("Iridium", metric_tps=False, point=point),
     ]

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.analysis.compare import _ratios
 from repro.core.calibration import DEFAULT_CALIBRATION, CalibrationConstants
-from repro.core.metrics import OperatingPoint, evaluate_server
-from repro.core.server import ServerDesign
-from repro.core.stack import StackConfig, iridium_stack, mercury_stack
+from repro.core.metrics import OperatingPoint
 from repro.errors import ConfigurationError
-from repro.network.tcp import TcpCostModel
 
 #: Scalar calibration fields a perturbation sweep covers.
 PERTURBABLE_FIELDS: tuple[str, ...] = (
@@ -58,29 +56,20 @@ def perturb(
     return replace(calibration, **{field: value})
 
 
-def _with_calibration(stack: StackConfig, calibration: CalibrationConstants) -> StackConfig:
-    return replace(stack, calibration=calibration)
-
-
 def headline_under(
     calibration: CalibrationConstants, point: OperatingPoint = OperatingPoint()
 ) -> dict[str, float]:
     """Mercury/Iridium vs Bags headline ratios under a calibration."""
-    from repro.baselines.commodity import MEMCACHED_BAGS
-
-    mercury = evaluate_server(
-        ServerDesign(stack=_with_calibration(mercury_stack(32), calibration)), point
-    )
-    iridium = evaluate_server(
-        ServerDesign(stack=_with_calibration(iridium_stack(32), calibration)), point
-    )
-    bags = MEMCACHED_BAGS
+    ratios = _ratios(calibration, point)
     return {
-        "mercury_tps_x": mercury.tps / bags.tps,
-        "mercury_tps_per_watt_x": mercury.tps_per_watt / bags.tps_per_watt,
-        "mercury_density_x": mercury.density_gb / bags.memory_gb,
-        "iridium_tps_x": iridium.tps / bags.tps,
-        "iridium_density_x": iridium.density_gb / bags.memory_gb,
+        name: ratios[name]
+        for name in (
+            "mercury_tps_x",
+            "mercury_tps_per_watt_x",
+            "mercury_density_x",
+            "iridium_tps_x",
+            "iridium_density_x",
+        )
     }
 
 
@@ -119,55 +108,10 @@ def sensitivity_sweep(
     factor: float = 1.5,
     fields: tuple[str, ...] = PERTURBABLE_FIELDS,
     point: OperatingPoint = OperatingPoint(),
-    *,
-    parallel: int | None = None,
-    cache=None,
-    registry=None,
 ) -> list[SensitivityRow]:
-    """Perturb each field by x``factor`` and /``factor``; report swings.
-
-    With ``parallel``/``cache`` the 2x|fields| headline evaluations run
-    through the experiment engine (each perturbation is one ``headline``
-    spec), so repeated ablations are cache hits.  Plain operating points
-    only; a memory override or GET/PUT mix falls back to the direct loop.
-    """
+    """Perturb each field by x``factor`` and /``factor``; report swings."""
     if factor <= 1.0:
         raise ConfigurationError("factor must exceed 1 (it is applied both ways)")
-    if point.memory is None and point.get_fraction is None:
-        from repro.exp import ExperimentSpec, run_experiments
-        from repro.telemetry.metrics import NULL_REGISTRY
-
-        specs = []
-        for field in fields:
-            for direction, scale in (("low", 1.0 / factor), ("high", factor)):
-                specs.append(
-                    ExperimentSpec(
-                        kind="headline",
-                        verb=point.verb,
-                        value_bytes=point.value_bytes,
-                        calibration_scale=((field, scale),),
-                        label=f"sensitivity[{field} {direction} x{factor:g}]",
-                    )
-                )
-        report = run_experiments(
-            specs,
-            parallel=parallel,
-            cache=cache,
-            registry=registry if registry is not None else NULL_REGISTRY,
-        )
-        ratios = [
-            {k: v for k, v in result.items() if k != "kind"}
-            for result in report.results
-        ]
-        return [
-            SensitivityRow(
-                field=field,
-                factor=factor,
-                low=ratios[2 * i],
-                high=ratios[2 * i + 1],
-            )
-            for i, field in enumerate(fields)
-        ]
     rows = []
     for field in fields:
         low = headline_under(perturb(DEFAULT_CALIBRATION, field, 1.0 / factor), point)

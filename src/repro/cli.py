@@ -8,21 +8,16 @@ from __future__ import annotations
 
 import argparse
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
-from repro.analysis import (
-    compare_headlines,
-    figure4_breakdown,
-    figure5_mercury_latency_sweep,
-    figure6_iridium_latency_sweep,
-    figure7_density_vs_tps,
-    figure8_power_vs_tps,
-    render_series,
-    render_table,
-    table1_components,
-    table2_memory_technologies,
-    table3_configurations,
-    table4_comparison,
+from repro.analysis import compare_headlines, render_table
+from repro.analysis.export import write_artefact
+from repro.analysis.report_builder import (
+    FIGURES,
+    TABLES,
+    figure_json,
+    figure_text,
+    headline_table,
 )
 from repro.analysis.sensitivity import headline_under, sensitivity_sweep
 from repro.baselines import MEMCACHED_BAGS
@@ -44,21 +39,6 @@ from repro.core.provisioning import (
     plan_fleet,
 )
 from repro.units import parse_size
-
-_TABLES: dict[str, tuple[Callable, str]] = {
-    "table1": (table1_components, "Table 1: 3D-stack component power/area"),
-    "table2": (table2_memory_technologies, "Table 2: memory technologies"),
-    "table3": (table3_configurations, "Table 3: 1.5U maximum configurations"),
-    "table4": (table4_comparison, "Table 4: comparison to prior art @64B"),
-}
-
-_FIGURES: dict[str, Callable] = {
-    "fig4": figure4_breakdown,
-    "fig5": figure5_mercury_latency_sweep,
-    "fig6": figure6_iridium_latency_sweep,
-    "fig7": figure7_density_vs_tps,
-    "fig8": figure8_power_vs_tps,
-}
 
 
 def _stack_for(family: str, cores: int):
@@ -130,19 +110,16 @@ def _write(path: str, text: str) -> str:
 
 
 def _cmd_table(args: argparse.Namespace) -> str:
-    builder, caption = _TABLES[args.artefact]
+    builder, caption = TABLES[args.artefact]
     headers, rows = builder()
     if args.export:
-        from repro.analysis.export import write_artefact
-
-        path = write_artefact(args.export, headers, rows)
-        return f"wrote {path}"
+        return f"wrote {write_artefact(args.export, headers, rows)}"
     return render_table(headers, rows, caption=caption)
 
 
 def _cmd_figure(args: argparse.Namespace) -> str:
-    panels = _FIGURES[args.artefact]()
-    if getattr(args, "chart", False):
+    panels = FIGURES[args.artefact]()
+    if args.chart:
         from repro.analysis.ascii_chart import series_chart
 
         return "\n\n".join(
@@ -150,28 +127,12 @@ def _cmd_figure(args: argparse.Namespace) -> str:
             for panel in panels
         )
     if args.export:
-        import json
-
-        from repro.analysis.export import figure_to_json
-
-        payload = [json.loads(figure_to_json(panel)) for panel in panels]
-        return _write(args.export, json.dumps(payload, indent=2))
-    return "\n\n".join(
-        render_series(panel.x_label, panel.x_values, panel.series, caption=panel.title)
-        for panel in panels
-    )
+        return _write(args.export, figure_json(panels))
+    return figure_text(panels)
 
 
 def _cmd_headlines(_args: argparse.Namespace) -> str:
-    lines = [
-        "Abstract headline ratios (vs Bags unless noted):",
-        f"{'metric':40s}  {'paper':>7s}  {'ours':>7s}  {'error':>6s}",
-    ]
-    for c in compare_headlines():
-        lines.append(
-            f"{c.name:40s}  {c.paper:7.2f}  {c.measured:7.2f}  {c.relative_error:6.0%}"
-        )
-    return "\n".join(lines)
+    return headline_table(compare_headlines())
 
 
 def _cmd_sensitivity(args: argparse.Namespace) -> str:
@@ -1012,11 +973,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in _TABLES:
-        p = sub.add_parser(name, help=_TABLES[name][1])
+    for name, (_builder, caption) in TABLES.items():
+        p = sub.add_parser(name, help=caption)
         p.add_argument("--export", help="write .csv or .json instead of text")
         p.set_defaults(func=_cmd_table, artefact=name)
-    for name in _FIGURES:
+    for name in FIGURES:
         p = sub.add_parser(name, help=f"Figure data series for {name}")
         p.add_argument("--export", help="write a .json series file instead of text")
         p.add_argument("--chart", action="store_true",

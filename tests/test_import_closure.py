@@ -1,4 +1,4 @@
-"""A simulator run imports only the modules it uses.
+"""Each entry point imports only the modules it uses.
 
 Package ``__init__``s re-export lazily, so a fresh interpreter that
 imports the full-system simulator and the scenario registry, then runs a
@@ -6,6 +6,10 @@ DES, a hybrid, a quorum and a tiered cell, must never load numpy (only
 the analytic Che and warm-up helpers use it), the paper's table and
 figure code, the baselines, the network-facing clients and servers, the
 experiment runner, or the telemetry exporters.
+
+The paper's artefacts are analytic, so building Figs. 7 and 8, the
+sensitivity sweep and the whole report must load neither the experiment
+engine nor the simulator, and no process pool.
 """
 
 from __future__ import annotations
@@ -75,22 +79,57 @@ NOT_LOADED = {
 NOT_LOADED_PACKAGES = ("numpy", "repro.analysis", "repro.baselines")
 
 
-def test_simulator_run_loads_only_its_import_closure():
+ARTEFACT_SCRIPT = r"""
+import json
+import sys
+import tempfile
+
+from repro.analysis.figures import figure7_density_vs_tps, figure8_power_vs_tps
+from repro.analysis.report_builder import build_report
+from repro.analysis.sensitivity import sensitivity_sweep
+
+figure7_density_vs_tps()
+figure8_power_vs_tps()
+sensitivity_sweep()
+with tempfile.TemporaryDirectory() as tmp:
+    build_report(tmp)
+print(json.dumps(sorted(sys.modules)))
+"""
+
+#: Packages an artefact build must not load.
+ARTEFACT_NOT_LOADED_PACKAGES = (
+    "repro.exp",
+    "repro.sim",
+    "concurrent.futures",
+    "multiprocessing",
+)
+
+
+def _unwanted(script: str, names=frozenset(), packages=()) -> list[str]:
+    """Modules ``script`` loaded in a fresh interpreter that are in
+    ``names`` or under one of ``packages``."""
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    unwanted = [
+    return [
         name
         for name in loaded
-        if name in NOT_LOADED
+        if name in names
         or any(
             name == package or name.startswith(package + ".")
-            for package in NOT_LOADED_PACKAGES
+            for package in packages
         )
     ]
-    assert unwanted == []
+
+
+def test_simulator_run_loads_only_its_import_closure():
+    assert _unwanted(SCRIPT, NOT_LOADED, NOT_LOADED_PACKAGES) == []
+
+
+def test_artefact_build_loads_no_engine_or_simulator():
+    assert _unwanted(ARTEFACT_SCRIPT, packages=ARTEFACT_NOT_LOADED_PACKAGES) == []
