@@ -22,11 +22,10 @@ _MIGRATE_BUCKETS_PER_OP = 4
 class HashTable:
     """A chained hash table keyed by item key bytes."""
 
-    def __init__(self, initial_power: int = 4, hash_algorithm: str = "jenkins"):
+    def __init__(self, initial_power: int = 4):
         if initial_power < 1 or initial_power > 30:
             raise StorageError("initial_power must be in [1, 30]")
-        self.hash_algorithm = hash_algorithm
-        self._digests = digest_cache(hash_algorithm)
+        self._digests = digest_cache()
         self._power = initial_power
         self._buckets: list[list[Item]] = [[] for _ in range(1 << initial_power)]
         self._old_buckets: list[list[Item]] | None = None
@@ -56,7 +55,7 @@ class HashTable:
     def _bucket_for(self, key: bytes) -> list[Item]:
         digest = self._digests.get(key)
         if digest is None:
-            digest = hash_key(key, self.hash_algorithm)
+            digest = hash_key(key)
         if self._old_buckets is not None:
             old_index = digest & (len(self._old_buckets) - 1)
             if old_index >= self._migrate_index:
@@ -72,7 +71,7 @@ class HashTable:
             # Steady-state fast path: memoised digest, direct mask.
             digest = self._digests.get(key)
             if digest is None:
-                digest = hash_key(key, self.hash_algorithm)
+                digest = hash_key(key)
             buckets = self._buckets
             bucket = buckets[digest & (len(buckets) - 1)]
         for item in bucket:
@@ -172,7 +171,7 @@ class HashTable:
         migrated = 0
         while migrated < buckets and self._migrate_index < len(self._old_buckets):
             for item in self._old_buckets[self._migrate_index]:
-                digest = hash_key(item.key, self.hash_algorithm)
+                digest = hash_key(item.key)
                 self._buckets[digest & new_mask].append(item)
             self._old_buckets[self._migrate_index] = []
             self._migrate_index += 1

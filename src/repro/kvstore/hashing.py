@@ -1,9 +1,11 @@
 """Key hash functions used by Memcached.
 
-Memcached 1.4 hashes keys with Bob Jenkins' one-at-a-time/lookup3 family;
-FNV-1a is the common alternative.  Both are implemented here in pure
-Python (masked to 32 bits) so the hash-computation component of Fig. 4 —
-a cost linear in key length plus a constant — corresponds to real code.
+Memcached 1.4 hashes keys with Bob Jenkins' one-at-a-time/lookup3 family,
+and so does every store here (:func:`hash_key`); FNV-1a, the common
+alternative, folds keys into the anti-entropy digests.  Both are
+implemented in pure Python (masked to 32 bits) so the hash-computation
+component of Fig. 4 — a cost linear in key length plus a constant —
+corresponds to real code.
 """
 
 from __future__ import annotations
@@ -38,54 +40,33 @@ def jenkins_oaat(data: bytes) -> int:
     return value
 
 
-_ALGORITHMS = {
-    "jenkins": jenkins_oaat,
-    "fnv1a": fnv1a_32,
-}
-
-#: Digest memo, one per algorithm.  Both hashes are pure functions of the
-#: key bytes, and simulated workloads draw the same bounded key population
-#: over and over, so a dict hit replaces the per-byte Python loop (the
-#: single hottest line in full-system profiles) on all but the first
-#: sighting of each key.  Insertion stops at the cap so adversarial key
-#: streams cannot grow the memo without bound.
+#: Key-digest memo.  The hash is a pure function of the key bytes, and
+#: simulated workloads draw the same bounded key population over and
+#: over, so a dict hit replaces the per-byte Python loop (the single
+#: hottest line in full-system profiles) on all but the first sighting
+#: of each key.  Insertion stops at the cap so adversarial key streams
+#: cannot grow the memo without bound.
 _DIGEST_CACHE_MAX = 1 << 18
-_digest_caches: dict[str, dict[bytes, int]] = {name: {} for name in _ALGORITHMS}
+_digests: dict[bytes, int] = {}
 
 
-def digest_cache(algorithm: str) -> dict[bytes, int]:
-    """The digest memo for ``algorithm``.
+def digest_cache() -> dict[bytes, int]:
+    """The key-digest memo.
 
     Hot-path callers (the hash table's bucket lookup) index this dict
     directly and fall back to :func:`hash_key` on a miss, skipping a
     function call per operation.
-
-    Raises:
-        StorageError: for an unknown algorithm name.
     """
-    try:
-        return _digest_caches[algorithm]
-    except KeyError:
-        known = ", ".join(sorted(_ALGORITHMS))
-        raise StorageError(f"unknown hash algorithm {algorithm!r}; known: {known}") from None
+    return _digests
 
 
-def hash_key(key: bytes, algorithm: str = "jenkins") -> int:
-    """Hash a key with the named algorithm (memoised per key).
-
-    Raises:
-        StorageError: for an unknown algorithm name.
-    """
-    try:
-        cache = _digest_caches[algorithm]
-    except KeyError:
-        known = ", ".join(sorted(_ALGORITHMS))
-        raise StorageError(f"unknown hash algorithm {algorithm!r}; known: {known}") from None
-    digest = cache.get(key)
+def hash_key(key: bytes) -> int:
+    """Memcached's key hash, Jenkins one-at-a-time (memoised per key)."""
+    digest = _digests.get(key)
     if digest is None:
-        digest = _ALGORITHMS[algorithm](key)
-        if len(cache) < _DIGEST_CACHE_MAX:
-            cache[key] = digest
+        digest = jenkins_oaat(key)
+        if len(_digests) < _DIGEST_CACHE_MAX:
+            _digests[key] = digest
     return digest
 
 

@@ -248,8 +248,7 @@ class Connection:
         store-visible side effects match n serial gets exactly.
         """
         store = self.server.store
-        algorithm = store.table.hash_algorithm
-        hashes = [hash_key(key, algorithm) for key in keys]
+        hashes = [hash_key(key) for key in keys]
         stripes = self.server.read_locks.acquire_many(hashes)
         try:
             items = store.get_many(keys)

@@ -14,8 +14,8 @@ The public surface of :class:`Simulator` is deliberately small and stable:
     when dead entries outnumber live ones, so a workload that cancels
     most of what it schedules (hedges, linger timers) cannot grow the
     queue without bound.
-``run(until=..., max_events=...)`` / ``run_until(time)`` / ``step()``
-    Drain the queue, optionally bounded.
+``run(until=...)`` / ``run_until(time)`` / ``step()``
+    Drain the queue, optionally up to a time horizon.
 ``recurring(interval_s, fn, horizon_s)``
     The one idiom every housekeeping loop (telemetry snapshots,
     anti-entropy sweeps, energy ticks) used to hand-roll: fire
@@ -237,16 +237,16 @@ class Simulator:
             return True
         return False
 
-    def run(self, until: float | None = None, max_events: int | None = None) -> None:
-        """Drain the queue, optionally bounded by time or event count.
+    def run(self, until: float | None = None) -> None:
+        """Drain the queue, optionally bounded by time.
 
         With ``until`` set, the clock is advanced to exactly ``until`` when
         the horizon is reached (later events stay queued).
         """
         queue = self._queue
-        if max_events is None and self.profiler is None:
+        if self.profiler is None:
             # Hot path: inline the step loop, skipping the per-event
-            # profiler check and bound bookkeeping.
+            # profiler check.
             while queue:
                 event = queue[0]
                 if event.cancelled:
@@ -266,10 +266,7 @@ class Simulator:
             if until is not None and until > self.now:
                 self.now = until
             return
-        processed = 0
         while queue:
-            if max_events is not None and processed >= max_events:
-                return
             head = queue[0]
             if head.cancelled:
                 heappop(queue)
@@ -280,7 +277,6 @@ class Simulator:
                 self.now = until
                 return
             self.step()
-            processed += 1
         if until is not None and until > self.now:
             self.now = until
 

@@ -26,7 +26,7 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
-from repro.core.latency_model import MemorySpec, RequestTiming
+from repro.core.latency_model import RequestTiming
 from repro.core.stack import StackConfig
 from repro.core.thermal import ThermalReport
 from repro.errors import ConfigurationError, SimulationError
@@ -382,14 +382,12 @@ class FullSystemStack:
     def __init__(
         self,
         stack: StackConfig,
-        memory: MemorySpec | None = None,
         memory_per_core_bytes: int | None = None,
         max_queue_per_core: int | None = 256,
         seed: int = 0,
     ):
         """Args:
             stack: the 3D stack configuration to simulate.
-            memory: optional memory-timing override.
             memory_per_core_bytes: per-core store budget (defaults to the
                 stack capacity split evenly).
             max_queue_per_core: the MAC's finite buffering, expressed as
@@ -401,7 +399,7 @@ class FullSystemStack:
             raise ConfigurationError("queue bound must be positive (or None)")
         self.max_queue_per_core = max_queue_per_core
         self.stack = stack
-        self.model = stack.latency_model(memory=memory)
+        self.model = stack.latency_model()
         if memory_per_core_bytes is None:
             memory_per_core_bytes = stack.capacity_bytes // stack.cores
         if memory_per_core_bytes < 1 << 20:

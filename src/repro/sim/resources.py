@@ -1,7 +1,7 @@
 """Queued resources for the discrete-event engine.
 
-A :class:`FifoResource` models anything that serves one job at a time per
-server — a core running Memcached, a memory port, a flash channel.  Jobs
+A :class:`FifoResource` models anything that serves one job at a time —
+a core running Memcached, a memory port, a flash channel.  Jobs
 are (service_time, completion_callback) pairs; waiting time is measured so
 simulations can report queueing delay separately from service.
 """
@@ -29,7 +29,7 @@ def ignore_completion(wait: float) -> None:
 
 
 class FifoResource:
-    """An s-server FIFO queue attached to a simulator.
+    """A single-server FIFO queue attached to a simulator.
 
     With a live ``registry`` the resource streams its waiting times into
     a ``queue_wait_seconds{resource=...}`` histogram and mirrors its
@@ -45,15 +45,11 @@ class FifoResource:
         self,
         sim: Simulator,
         name: str,
-        servers: int = 1,
         registry: MetricsRegistry = NULL_REGISTRY,
         busy_observer: Callable[[float, float], None] | None = None,
     ):
-        if servers <= 0:
-            raise SimulationError("a resource needs at least one server")
         self.sim = sim
         self.name = name
-        self.servers = servers
         self.busy_observer = busy_observer
         self._busy = 0
         self._queue: deque[_Job] = deque()
@@ -78,7 +74,7 @@ class FifoResource:
         if service_time < 0:
             raise SimulationError("service time cannot be negative")
         job = _Job(service_time, on_complete, self.sim.now)
-        if self._busy < self.servers:
+        if not self._busy:
             self._start(job)
         else:
             self._queue.append(job)
@@ -98,7 +94,7 @@ class FifoResource:
             self._busy -= 1
             self.jobs_served += 1
             job.on_complete(wait)
-            if self._queue and self._busy < self.servers:
+            if self._queue and not self._busy:
                 self._start(self._queue.popleft())
                 self._depth_gauge.set(len(self._queue))
 
@@ -112,7 +108,7 @@ class FifoResource:
         return self.total_wait / started if started else 0.0
 
     def utilization(self, elapsed: float) -> float:
-        """Fraction of server-time spent busy over ``elapsed`` seconds."""
+        """Fraction of ``elapsed`` seconds spent busy."""
         if elapsed <= 0:
             raise SimulationError("elapsed time must be positive")
-        return self.total_service / (elapsed * self.servers)
+        return self.total_service / elapsed

@@ -5,9 +5,8 @@ module answers "what happened *when*".  A :class:`WindowedSeries` buckets
 observations into fixed-cadence windows of simulated time — it is the
 one windowing primitive shared by the hit-rate recovery timeline in
 :mod:`repro.sim.full_system`, the SLO burn-rate monitor, and the
-:class:`TimeSeriesRecorder` below.  Series are ring-buffered (old
-windows are evicted past ``max_windows``), mergeable across runs with
-the same cadence, and JSONL-exportable.
+:class:`TimeSeriesRecorder` below.  Series are mergeable across runs
+with the same cadence, and JSONL-exportable.
 
 A :class:`TimeSeriesRecorder` turns a whole
 :class:`~repro.telemetry.metrics.MetricsRegistry` into a timeline: on a
@@ -56,10 +55,7 @@ class WindowedSeries:
     ``{window_index: count}`` maps it replaces.
     """
 
-    __slots__ = (
-        "name", "interval_s", "max_windows", "kind", "_values", "evicted",
-        "_sum", "_newest",
-    )
+    __slots__ = ("name", "interval_s", "kind", "_values", "_sum")
 
     _FOLDS: dict[str, Callable[[float, float], float]] = {
         "sum": lambda old, new: old + new,
@@ -71,25 +67,17 @@ class WindowedSeries:
         self,
         name: str,
         interval_s: float,
-        max_windows: int | None = None,
         kind: str = "sum",
     ):
         if interval_s <= 0:
             raise ConfigurationError("window interval must be positive")
-        if max_windows is not None and max_windows < 1:
-            raise ConfigurationError("max_windows must be positive (or None)")
         if kind not in self._FOLDS:
             raise ConfigurationError(f"unknown series kind {kind!r}")
         self.name = name
         self.interval_s = interval_s
-        self.max_windows = max_windows
         self.kind = kind
         self._values: dict[int, float] = {}
-        self.evicted = 0
         self._sum = kind == "sum"
-        # Newest window index observed; the retention floor of a bounded
-        # series follows it.
-        self._newest: int | None = None
 
     # --- window geometry ---------------------------------------------------------
 
@@ -120,34 +108,11 @@ class WindowedSeries:
         values = self._values
         old = values.get(index)
         if old is None:
-            if self.max_windows is None:
-                values[index] = value
-            else:
-                self._insert_bounded(index, value)
+            values[index] = value
         elif self._sum:
             values[index] = old + value
         else:
             values[index] = self._FOLDS[self.kind](old, value)
-
-    def _insert_bounded(self, index: int, value: float) -> None:
-        """Ring bound: open window ``index`` and drop windows older than
-        the retention horizon of the newest index seen.  A late
-        observation already below the horizon is dropped (and counted)."""
-        newest = self._newest
-        if newest is None or index > newest:
-            newest = self._newest = index
-        floor = newest - self.max_windows + 1
-        if index < floor:
-            self.evicted += 1
-            return
-        values = self._values
-        values[index] = value
-        if len(values) <= self.max_windows:
-            return
-        stale = [i for i in values if i < floor]
-        for i in stale:
-            del values[i]
-            self.evicted += 1
 
     # --- dict-style views (drop-in for {index: value} maps) ----------------------
 
@@ -212,11 +177,8 @@ class WindowedSeries:
             raise ConfigurationError("cannot merge series with different cadence")
         if other.kind != self.kind:
             raise ConfigurationError("cannot merge series of different kinds")
-        merged = WindowedSeries(
-            self.name, self.interval_s, max_windows=self.max_windows, kind=self.kind
-        )
+        merged = WindowedSeries(self.name, self.interval_s, kind=self.kind)
         merged._values = dict(self._values)
-        merged._newest = self._newest
         for index, value in other.items():
             merged.observe_index(index, value)
         return merged
@@ -226,7 +188,9 @@ class WindowedSeries:
             "name": self.name,
             "interval_s": self.interval_s,
             "kind": self.kind,
-            "evicted": self.evicted,
+            # Kept so stored payloads and cache entries keep their bytes;
+            # a series never evicts.
+            "evicted": 0,
             "windows": {str(i): v for i, v in self.items()},
         }
 
@@ -236,7 +200,6 @@ class WindowedSeries:
             payload["name"], payload["interval_s"], kind=payload.get("kind", "sum")
         )
         series._values = {int(i): v for i, v in payload["windows"].items()}
-        series.evicted = payload.get("evicted", 0)
         return series
 
 

@@ -65,13 +65,7 @@ class TestHashes:
         assert jenkins_oaat(b"key-1") != jenkins_oaat(b"key-2")
 
     def test_hash_key_dispatch(self):
-        assert hash_key(b"x", "fnv1a") == fnv1a_32(b"x")
-        assert hash_key(b"x", "jenkins") == jenkins_oaat(b"x")
         assert hash_key(b"x") == jenkins_oaat(b"x")  # default
-
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(StorageError, match="unknown hash algorithm"):
-            hash_key(b"x", "sha0")
 
     @given(key=keys)
     @settings(max_examples=100, deadline=None)

@@ -142,14 +142,6 @@ class TestBoundedRuns:
         sim.run(until=10.0)
         assert sim.now == pytest.approx(10.0)
 
-    def test_max_events_bound(self):
-        sim = Simulator()
-        fired = []
-        for i in range(10):
-            sim.schedule(float(i + 1), lambda i=i: fired.append(i))
-        sim.run(max_events=3)
-        assert fired == [0, 1, 2]
-
     def test_step_returns_false_when_empty(self):
         assert Simulator().step() is False
 

@@ -53,39 +53,16 @@ class TestSingleServer:
         with pytest.raises(SimulationError):
             FifoResource(sim, "core").submit(-1.0, lambda w: None)
 
-    def test_zero_servers_rejected(self):
-        with pytest.raises(SimulationError):
-            FifoResource(Simulator(), "core", servers=0)
-
 
 class TestMultiServer:
-    def test_parallel_servers_overlap(self):
-        sim = Simulator()
-        pool = FifoResource(sim, "pool", servers=2)
-        finish_times = []
-        for _ in range(2):
-            pool.submit(1.0, lambda w: finish_times.append(sim.now))
-        sim.run()
-        assert finish_times == [pytest.approx(1.0), pytest.approx(1.0)]
-
-    def test_third_job_waits_for_first_free_server(self):
-        sim = Simulator()
-        pool = FifoResource(sim, "pool", servers=2)
-        waits = []
-        pool.submit(1.0, waits.append)
-        pool.submit(2.0, waits.append)
-        pool.submit(1.0, waits.append)
-        sim.run()
-        assert waits[2] == pytest.approx(1.0)
-
     def test_utilization(self):
         sim = Simulator()
-        pool = FifoResource(sim, "pool", servers=2)
-        pool.submit(1.0, lambda w: None)
-        pool.submit(1.0, lambda w: None)
+        core = FifoResource(sim, "core")
+        core.submit(1.0, lambda w: None)
+        core.submit(1.0, lambda w: None)
         sim.run()
-        assert pool.utilization(elapsed=1.0) == pytest.approx(1.0)
-        assert pool.utilization(elapsed=2.0) == pytest.approx(0.5)
+        assert core.utilization(elapsed=2.0) == pytest.approx(1.0)
+        assert core.utilization(elapsed=4.0) == pytest.approx(0.5)
 
     def test_utilization_requires_positive_elapsed(self):
         pool = FifoResource(Simulator(), "pool")

@@ -1,7 +1,7 @@
 """Unit tests for :mod:`repro.telemetry.timeseries`.
 
-WindowedSeries is pure window arithmetic (fold kinds, ring eviction,
-merge, dict-style drop-in views); TimeSeriesRecorder is delta
+WindowedSeries is pure window arithmetic (fold kinds, merge,
+dict-style drop-in views); TimeSeriesRecorder is delta
 bookkeeping over a registry plus a recurring DES event.  The DES tests
 pin the PR's determinism claim: two identical runs produce bit-identical
 JSONL timelines.
@@ -21,8 +21,6 @@ class TestWindowedSeries:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             WindowedSeries("x", 0.0)
-        with pytest.raises(ConfigurationError):
-            WindowedSeries("x", 1.0, max_windows=0)
         with pytest.raises(ConfigurationError):
             WindowedSeries("x", 1.0, kind="median")
 
@@ -56,44 +54,6 @@ class TestWindowedSeries:
         assert series.get(1, 0) == 0
         assert series[0] == 1.0
         assert not WindowedSeries("empty", 1.0)
-
-    def test_ring_eviction(self):
-        series = WindowedSeries("ring", 1.0, max_windows=3)
-        for i in range(6):
-            series.observe_index(i, 1.0)
-        assert list(series) == [3, 4, 5]
-        assert series.evicted == 3
-
-    def test_ring_bound_holds_for_late_observations(self):
-        series = WindowedSeries("x", 1.0, max_windows=2)
-        for t in (5.5, 6.5, 1.5, 0.5):
-            series.observe(t)
-        # The floor follows the newest window seen, so windows that
-        # arrive below it are dropped and counted.
-        assert list(series) == [5, 6]
-        assert series.evicted == 2
-        series.observe(6.7)
-        assert series.items() == [(5, 1.0), (6, 2.0)]
-
-    def test_late_observation_inside_horizon_is_kept(self):
-        series = WindowedSeries("x", 1.0, max_windows=3)
-        for index in (4, 2, 3):
-            series.observe_index(index)
-        assert list(series) == [2, 3, 4]
-        assert series.evicted == 0
-        series.observe_index(5)
-        assert list(series) == [3, 4, 5]
-        assert series.evicted == 1
-
-    def test_merge_keeps_the_retention_floor(self):
-        a = WindowedSeries("a", 1.0, max_windows=2)
-        b = WindowedSeries("a", 1.0, max_windows=2)
-        a.observe_index(9)
-        a.observe_index(10)
-        b.observe_index(1)
-        merged = a.merge(b)
-        assert merged.items() == [(9, 1.0), (10, 1.0)]
-        assert merged.evicted == 1
 
     def test_timeline_and_sum_over(self):
         series = WindowedSeries("t", 0.5)
