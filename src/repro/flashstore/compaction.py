@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.codec import Serialisable
 from repro.errors import ConfigurationError
@@ -73,9 +73,8 @@ class BackgroundWork:
     pages_written: int
 
 
-@dataclass(frozen=True)
-class TierOpCost:
-    """What one GET/PUT cost the tiered store.
+class TierOpCost(NamedTuple):
+    """What one GET/PUT cost the tiered store (an immutable tuple).
 
     ``service_s`` is the foreground flash time (the latency model folds
     it into the request's memcached component); ``probes`` lists the

@@ -9,6 +9,7 @@ bounded and that our DES inherits.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator
 
 from repro.errors import StorageError
@@ -134,12 +135,18 @@ class HashTable:
     def __contains__(self, key: bytes) -> bool:
         return self.find(key) is not None
 
+    def _chains(self) -> list[list[Item]]:
+        """The chains in iteration order: unmigrated old buckets first."""
+        if self._old_buckets is None:
+            return self._buckets
+        return self._old_buckets[self._migrate_index :] + self._buckets
+
     def __iter__(self) -> Iterator[Item]:
-        if self._old_buckets is not None:
-            for index in range(self._migrate_index, len(self._old_buckets)):
-                yield from self._old_buckets[index]
-        for bucket in self._buckets:
-            yield from bucket
+        return chain.from_iterable(self._chains())
+
+    def items(self) -> list[Item]:
+        """Every item, in iteration order, as a new list."""
+        return list(chain.from_iterable(self._chains()))
 
     def chain_lengths(self) -> list[int]:
         """All live chain lengths (distribution checks in tests)."""

@@ -9,7 +9,7 @@ payload sizes used by the network model are computed from real framing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.errors import ProtocolError
 from repro.kvstore.batching import MAX_BATCH_OPS
@@ -31,9 +31,8 @@ SIMPLE_VERBS = frozenset(
 BATCH_VERBS = frozenset({"mset"})
 
 
-@dataclass(frozen=True)
-class Command:
-    """A parsed client command."""
+class Command(NamedTuple):
+    """A parsed client command (an immutable tuple of its fields)."""
 
     verb: str
     keys: tuple[bytes, ...] = ()
@@ -54,8 +53,7 @@ class Command:
         return self.keys[0]
 
 
-@dataclass(frozen=True)
-class Response:
+class Response(NamedTuple):
     """A server response: a status line and optional value blocks."""
 
     status: str
@@ -116,8 +114,7 @@ def parse_command(blob: bytes) -> tuple[Command, bytes]:
     if verb in RETRIEVAL_VERBS:
         if len(parts) < 2:
             raise ProtocolError(f"{verb} needs at least one key")
-        keys = tuple(_check_key(k) for k in parts[1:])
-        return Command(verb=verb, keys=keys), rest
+        return Command(verb, tuple(map(_check_key, parts[1:]))), rest
     if verb == "delete":
         if len(parts) not in (2, 3):
             raise ProtocolError("delete <key> [noreply]")

@@ -83,29 +83,34 @@ class Connection:
         """
         if self.closed:
             raise ProtocolError("connection is closed")
-        self.stats.syscalls += 1
-        self.stats.bytes_in += len(data)
+        stats = self.stats
+        stats.syscalls += 1
+        stats.bytes_in += len(data)
         self._bytes_in_total.inc(len(data))
-        self._buffer += data
-        out = bytearray()
-        while self._buffer and not self.closed:
+        # With nothing buffered, ``b"" + data`` is ``data`` itself: the
+        # parse reads the caller's bytes without a copy.
+        self._buffer = buffer = self._buffer + data
+        replies = []
+        while buffer and not self.closed:
             try:
-                command, rest = parse_command(self._buffer)
+                command, rest = parse_command(buffer)
             except ProtocolError:
-                if self._complete_command_buffered():
-                    out += self._discard_bad_line()
-                    continue
-                break  # wait for more bytes
-            self.stats.parses += 1
-            self._buffer = rest
-            out += self._execute(command)
+                if not self._complete_command_buffered():
+                    break  # wait for more bytes
+                replies.append(self._discard_bad_line())
+                buffer = self._buffer
+                continue
+            stats.parses += 1
+            self._buffer = buffer = rest
+            replies.append(self._execute(command))
             if trace is not None:
                 trace.add_span(
                     "server_execute", self.server.store.now, 0.0, kind="server"
                 )
-        self.stats.bytes_out += len(out)
+        out = replies[0] if len(replies) == 1 else b"".join(replies)
+        stats.bytes_out += len(out)
         self._bytes_out_total.inc(len(out))
-        return bytes(out)
+        return out
 
     @property
     def pending_bytes(self) -> int:

@@ -12,7 +12,6 @@ giving up (memcached never steals pages across classes in 1.4).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
@@ -403,15 +402,24 @@ class KVStore:
             return None
         return item
 
-    def iter_live(self) -> Iterator[Item]:
+    def iter_live(self) -> list[Item]:
         """The live items in table order (anti-entropy's view).
 
         Dead (expired/flushed) entries are skipped but *not* reaped, so
-        iterating is read-only with respect to store state; the store
-        must not be mutated while the iterator is open.
+        the scan is read-only with respect to store state.  The liveness
+        test is :meth:`_is_dead` spelled out inline: a sweep visits every
+        copy in the store.
         """
-        is_dead = self._is_dead
-        return (item for item in self.table if not is_dead(item))
+        now = self.now
+        flush_seq = self._flush_seq
+        return [
+            item
+            for item in self.table.items()
+            if not (
+                (item.expire_at != 0.0 and now >= item.expire_at)
+                or item.seq <= flush_seq
+            )
+        ]
 
     def items_live(self) -> list[Item]:
         """Key-sorted snapshot of :meth:`iter_live`."""

@@ -23,11 +23,12 @@ The public surface of :class:`Simulator` is deliberately small and stable:
     reuses a single :class:`Event` object across firings, so a
     million-tick loop allocates one event, not a million.
 
-Performance notes: :class:`Event` uses ``__slots__`` and a hand-written
-``__lt__`` on ``(time, sequence)`` rather than ``@dataclass(order=True)``
-— the dataclass comparator builds two tuples per comparison and a heap
-sift does many comparisons per push/pop, which made event ordering the
-hottest line in ``SimProfiler`` traces of the full-system model.
+Performance notes: the heap holds ``(time, sequence, event)`` tuples, so
+``heapq`` orders entries with C tuple comparisons and never calls back
+into Python.  A heap sift makes many comparisons per push/pop, and a
+Python comparator on :class:`Event` made ordering the hottest line in
+``SimProfiler`` traces of the full-system model.  Sequences are unique,
+so a comparison never reaches the event itself.
 """
 
 from __future__ import annotations
@@ -43,7 +44,11 @@ _COMPACT_MIN_DEAD = 64
 
 
 class Event:
-    """A scheduled callback.  Ordering: time, then insertion sequence."""
+    """A scheduled callback: the handle :meth:`Simulator.schedule` returns.
+
+    The heap orders the event by the ``time`` and ``sequence`` it was
+    queued with; assigning either afterwards does not move it.
+    """
 
     __slots__ = ("time", "sequence", "callback", "cancelled")
 
@@ -58,16 +63,6 @@ class Event:
         self.sequence = sequence
         self.callback = callback
         self.cancelled = cancelled
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.sequence < other.sequence
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self.time == other.time and self.sequence == other.sequence
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
@@ -85,24 +80,28 @@ class Event:
 class RecurringHandle:
     """Handle for a :meth:`Simulator.recurring` loop; ``stop()`` ends it."""
 
-    __slots__ = ("event", "stopped")
+    __slots__ = ("sim", "event", "stopped")
 
-    def __init__(self, event: Event):
+    def __init__(self, sim: "Simulator", event: Event):
+        self.sim = sim
         self.event = event
         self.stopped = False
 
     def stop(self) -> None:
         """Stop the loop: the pending firing is cancelled, nothing reschedules."""
         self.stopped = True
-        self.event.cancelled = True
+        self.sim.cancel(self.event)
 
 
 class Simulator:
     """The event loop: schedule callbacks, run until quiescent or a bound."""
 
     def __init__(self) -> None:
-        self._queue: list[Event] = []
+        #: Heap of ``(time, sequence, event)``; cancelled events stay in
+        #: it as tombstones until popped or compacted away.
+        self._queue: list[tuple[float, int, Event]] = []
         self._sequence = 0
+        #: Cancelled entries in ``_queue``.
         self._dead = 0
         self.now = 0.0
         self.events_processed = 0
@@ -115,9 +114,11 @@ class Simulator:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        event = Event(self.now + delay, self._sequence, callback)
-        self._sequence += 1
-        heappush(self._queue, event)
+        time = self.now + delay
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        event = Event(time, sequence, callback)
+        heappush(self._queue, (time, sequence, event))
         return event
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
@@ -129,16 +130,35 @@ class Simulator:
     def cancel(self, event: Event) -> None:
         """Cancel a pending event (idempotent, lazy).
 
-        The event object stays in the heap as a tombstone until it either
-        comes due (and is skipped) or a compaction pass rebuilds the heap.
-        Compaction runs when tracked tombstones outnumber live entries,
-        bounding queue growth for cancel-heavy workloads.
+        The event stays in the heap as a tombstone until it either comes
+        due (and is skipped) or a compaction pass rebuilds the heap.
+        Compaction runs when tombstones outnumber live entries, bounding
+        queue growth for cancel-heavy workloads.  Cancelling an event
+        that already fired only marks it: no tombstone is left.
         """
-        if not event.cancelled:
-            event.cancelled = True
+        if event.cancelled:
+            return
+        event.cancelled = True
+        if self._queued(event):
             self._dead += 1
             if self._dead > _COMPACT_MIN_DEAD and self._dead * 2 > len(self._queue):
                 self._compact()
+
+    def _queued(self, event: Event) -> bool:
+        """Whether ``event`` is still in the heap.
+
+        Entries leave the heap in ``(time, sequence)`` order, and every
+        new entry sorts after the last one that left (its time is at
+        least ``now`` and its sequence is the largest yet), so an event
+        is queued exactly when it does not sort before the heap's head.
+        """
+        queue = self._queue
+        if not queue:
+            return False
+        head_time, head_sequence, _ = queue[0]
+        return event.time > head_time or (
+            event.time == head_time and event.sequence >= head_sequence
+        )
 
     def _compact(self) -> None:
         """Drop all tombstones and rebuild the heap in place.
@@ -149,7 +169,7 @@ class Simulator:
         compaction inside a callback must not strand that alias on a
         stale snapshot while new events land in a replacement.
         """
-        self._queue[:] = [e for e in self._queue if not e.cancelled]
+        self._queue[:] = [entry for entry in self._queue if not entry[2].cancelled]
         heapify(self._queue)
         self._dead = 0
 
@@ -181,29 +201,33 @@ class Simulator:
         if first > horizon_s + eps:
             # Horizon shorter than one interval: the loop never fires.
             dummy = Event(0.0, -1, lambda: None, cancelled=True)
-            handle = RecurringHandle(dummy)
+            handle = RecurringHandle(self, dummy)
             handle.stopped = True
             return handle
 
         event = Event(first, self._sequence, lambda: None)
         self._sequence += 1
-        handle = RecurringHandle(event)
+        handle = RecurringHandle(self, event)
 
         def fire() -> None:
             t = event.time
             fn(t)
-            if handle.stopped:
+            # ``Simulator.cancel`` from inside ``fn`` ends the loop like
+            # ``stop()``: the event is out of the heap, so re-queueing it
+            # would leave an uncounted tombstone.
+            if handle.stopped or event.cancelled:
                 return
             nxt = t + interval_s
             if nxt <= horizon_s + eps:
+                sequence = self._sequence
+                self._sequence = sequence + 1
                 event.time = nxt
-                event.sequence = self._sequence
-                self._sequence += 1
-                heappush(self._queue, event)
+                event.sequence = sequence
+                heappush(self._queue, (nxt, sequence, event))
 
         fire.__qualname__ = getattr(fn, "__qualname__", repr(fn))
         event.callback = fire
-        heappush(self._queue, event)
+        heappush(self._queue, (first, event.sequence, event))
         return handle
 
     @property
@@ -215,15 +239,15 @@ class Simulator:
         """Process the next event; returns False when the queue is empty."""
         queue = self._queue
         while queue:
-            event = heappop(queue)
+            time, _, event = heappop(queue)
             if event.cancelled:
                 if self._dead:
                     self._dead -= 1
                 continue
-            if event.time < self.now:
+            if time < self.now:
                 raise SimulationError("event queue went backwards in time")
-            advance = event.time - self.now
-            self.now = event.time
+            advance = time - self.now
+            self.now = time
             profiler = self.profiler
             if profiler is None:
                 event.callback()
@@ -248,32 +272,32 @@ class Simulator:
             # Hot path: inline the step loop, skipping the per-event
             # profiler check.
             while queue:
-                event = queue[0]
+                time, _, event = queue[0]
                 if event.cancelled:
                     heappop(queue)
                     if self._dead:
                         self._dead -= 1
                     continue
-                if until is not None and event.time > until:
+                if until is not None and time > until:
                     self.now = until
                     return
                 heappop(queue)
-                if event.time < self.now:
+                if time < self.now:
                     raise SimulationError("event queue went backwards in time")
-                self.now = event.time
+                self.now = time
                 event.callback()
                 self.events_processed += 1
             if until is not None and until > self.now:
                 self.now = until
             return
         while queue:
-            head = queue[0]
-            if head.cancelled:
+            time, _, event = queue[0]
+            if event.cancelled:
                 heappop(queue)
                 if self._dead:
                     self._dead -= 1
                 continue
-            if until is not None and head.time > until:
+            if until is not None and time > until:
                 self.now = until
                 return
             self.step()

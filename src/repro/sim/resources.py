@@ -4,24 +4,20 @@ A :class:`FifoResource` models anything that serves one job at a time —
 a core running Memcached, a memory port, a flash channel.  Jobs
 are (service_time, completion_callback) pairs; waiting time is measured so
 simulations can report queueing delay separately from service.
+
+A waiting job is a plain ``(service_time, on_complete, enqueued_at)``
+tuple, and the job in service completes through one bound method, so a
+job costs no record object and no closure.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import SimulationError
 from repro.sim.events import Simulator
 from repro.telemetry.metrics import MetricsRegistry, NULL_REGISTRY
-
-
-@dataclass
-class _Job:
-    service_time: float
-    on_complete: Callable[[float], None]  # receives waiting time
-    enqueued_at: float
 
 
 def ignore_completion(wait: float) -> None:
@@ -52,7 +48,11 @@ class FifoResource:
         self.name = name
         self.busy_observer = busy_observer
         self._busy = 0
-        self._queue: deque[_Job] = deque()
+        #: Waiting jobs: ``(service_time, on_complete, enqueued_at)``.
+        self._queue: deque[tuple[float, Callable[[float], None], float]] = deque()
+        #: The job in service: its completion callback and its wait.
+        self._on_complete: Callable[[float], None] = ignore_completion
+        self._wait = 0.0
         self.jobs_served = 0
         self.total_wait = 0.0
         self.total_service = 0.0
@@ -73,32 +73,39 @@ class FifoResource:
         """Enqueue a job; ``on_complete(waiting_time)`` fires when served."""
         if service_time < 0:
             raise SimulationError("service time cannot be negative")
-        job = _Job(service_time, on_complete, self.sim.now)
         if not self._busy:
-            self._start(job)
+            self._start(service_time, on_complete, self.sim.now)
         else:
-            self._queue.append(job)
+            self._queue.append((service_time, on_complete, self.sim.now))
             self.max_queue_depth = max(self.max_queue_depth, len(self._queue))
             self._depth_gauge.set(len(self._queue))
 
-    def _start(self, job: _Job) -> None:
+    def _start(
+        self,
+        service_time: float,
+        on_complete: Callable[[float], None],
+        enqueued_at: float,
+    ) -> None:
         self._busy += 1
-        wait = self.sim.now - job.enqueued_at
+        now = self.sim.now
+        wait = now - enqueued_at
+        self._on_complete = on_complete
+        self._wait = wait
         self.total_wait += wait
-        self.total_service += job.service_time
+        self.total_service += service_time
         self._wait_histogram.record(wait)
         if self.busy_observer is not None:
-            self.busy_observer(self.sim.now, job.service_time)
+            self.busy_observer(now, service_time)
+        self.sim.schedule(service_time, self._finish)
 
-        def finish() -> None:
-            self._busy -= 1
-            self.jobs_served += 1
-            job.on_complete(wait)
-            if self._queue and not self._busy:
-                self._start(self._queue.popleft())
-                self._depth_gauge.set(len(self._queue))
-
-        self.sim.schedule(job.service_time, finish)
+    def _finish(self) -> None:
+        """The job in service completes; the next waiting job starts."""
+        self._busy -= 1
+        self.jobs_served += 1
+        self._on_complete(self._wait)
+        if self._queue and not self._busy:
+            self._start(*self._queue.popleft())
+            self._depth_gauge.set(len(self._queue))
 
     # --- statistics ----------------------------------------------------------------
 

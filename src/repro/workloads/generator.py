@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.codec import Serialisable
 from repro.errors import ConfigurationError
@@ -19,19 +19,23 @@ from repro.sim.rng import make_rng
 from repro.workloads.distributions import ValueSizeDistribution, ZipfKeys, fixed_size
 
 
-@dataclass(frozen=True)
-class Request:
-    """One client operation."""
-
+class _RequestFields(NamedTuple):
     verb: str  # "GET" or "PUT"
     key: bytes
     value_bytes: int
 
-    def __post_init__(self) -> None:
-        if self.verb not in ("GET", "PUT"):
-            raise ConfigurationError(f"unknown verb {self.verb!r}")
-        if self.value_bytes < 0:
+
+class Request(_RequestFields):
+    """One client operation (an immutable tuple of its fields)."""
+
+    __slots__ = ()
+
+    def __new__(cls, verb: str, key: bytes, value_bytes: int) -> "Request":
+        if verb not in ("GET", "PUT"):
+            raise ConfigurationError(f"unknown verb {verb!r}")
+        if value_bytes < 0:
             raise ConfigurationError("value size cannot be negative")
+        return tuple.__new__(cls, (verb, key, value_bytes))
 
 
 @dataclass(frozen=True)
